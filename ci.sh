@@ -54,20 +54,21 @@ echo "==> cargo build --release"
 cargo build --release --workspace --offline
 
 # The whole suite runs three times: once on the sequential kernel, once
-# with 4 workers and once with 8 workers on the shared-table parallel
-# kernel (cutoff lowered so test-sized operands actually engage it; the
-# effective worker count is clamped to the hardware, so oversubscribed
-# counts exercise the clamp path). The differential fuzzer in
+# with 2 workers (the count the pointsto_2t benchmark runs) and once with
+# 4 workers on the shared-table parallel kernel (cutoff lowered so
+# test-sized operands actually engage it; the effective worker count is
+# clamped to the hardware, so on hosts with fewer than 4 CPUs the 4-worker
+# pass exercises the clamp path). The differential fuzzer in
 # tests/differential.rs and the JEDD_THREADS=1,2,4,8 determinism test in
 # crates/analyses are part of every pass.
 echo "==> cargo test (workspace, JEDD_THREADS=1)"
 JEDD_THREADS=1 cargo test --workspace --offline -q
 
+echo "==> cargo test (workspace, JEDD_THREADS=2)"
+JEDD_THREADS=2 JEDD_PAR_CUTOFF=64 cargo test --workspace --offline -q
+
 echo "==> cargo test (workspace, JEDD_THREADS=4)"
 JEDD_THREADS=4 JEDD_PAR_CUTOFF=64 cargo test --workspace --offline -q
-
-echo "==> cargo test (workspace, JEDD_THREADS=8)"
-JEDD_THREADS=8 JEDD_PAR_CUTOFF=64 cargo test --workspace --offline -q
 
 # A fourth pass on the chain-reduced kernel: JEDD_CHAIN=1 flips every
 # env-default universe to the CBDD backend (ZDD managers built by the
@@ -169,6 +170,13 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 # jeddc is the user-facing compiler crate; its API docs are load-bearing,
 # so missing docs are a hard error there (warn-level elsewhere).
 cargo clippy -p jeddc --offline -- -D warnings -D missing-docs
+
+echo "==> benchmark smoke (benchmark/, every workload at seeds 0 and 1)"
+# The end-to-end benchmark is a package of its own (outside the
+# workspace); its smoke test runs each workload once with the traced pass
+# and checks every declared metric, zero failed calls and that span self
+# times sum to wall clock. It times real analyses, so it needs --release.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> bench smoke (BENCH_kernel.json)"
 # Few-sample bench runs double as integration tests of the kernel's

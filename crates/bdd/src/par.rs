@@ -1084,9 +1084,12 @@ impl Inner {
 
     /// Runs one top-level operation on the work pool. `a`/`b` are the
     /// (pre-normalised) operands, `limit` the first level splitting must
-    /// not cross. Returns `Fallback` when the split yields fewer than two
-    /// distinct tasks — a structural property of the operands, so the
-    /// decision is identical for every thread count.
+    /// not cross. This is the whole engagement gate, cheapest test first:
+    /// `Fallback` when `limit` leaves fewer than two levels to split on,
+    /// when the bounded split yields fewer than two distinct tasks, or when
+    /// the operands hold fewer than [`Inner::par_cutoff`] nodes. All three
+    /// are structural properties of the operands, so the decision is
+    /// identical for every thread count.
     pub(crate) fn par_run(
         &mut self,
         job: Job,
@@ -1094,15 +1097,21 @@ impl Inner {
         b: u32,
         limit: u32,
     ) -> Result<ParAttempt, BddError> {
+        if limit < 2 {
+            return Ok(ParAttempt::Fallback);
+        }
+        // The plan walks at most 2^SPLIT_DEPTH paths and most top-level
+        // calls (a union with a one-tuple cube, say) yield a single task,
+        // so it runs before the probe, which may walk `par_cutoff` nodes.
+        let plan = build_plan(self, &job, a, b, limit);
+        if plan.tasks.len() < 2 || !self.probe_at_least(&[a, b], self.par_cutoff()) {
+            return Ok(ParAttempt::Fallback);
+        }
         // A warm master cache answers repeated top-level operations (the
         // fixpoint engines re-issue many) without spawning anything.
         let (ck, ka, kb, kc) = master_key(&job, a, b);
         if let Some(r) = self.cache_lookup(ck, ka, kb, kc) {
             return Ok(ParAttempt::Done(r));
-        }
-        let plan = build_plan(self, &job, a, b, limit);
-        if plan.tasks.len() < 2 {
-            return Ok(ParAttempt::Fallback);
         }
         let workers = self.resolve_workers(plan.tasks.len());
         let k = Kernel::new(self);

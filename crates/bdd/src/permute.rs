@@ -73,11 +73,9 @@ impl Inner {
                 .map(|&(from, to)| self.level_of_var(from).min(self.level_of_var(to)))
                 .min()
                 .unwrap_or(0);
-            if limit >= 2 && self.probe_at_least(&[f], self.par_cutoff()) {
-                match self.par_run(crate::par::Job::Replace { perm, pid }, f, 0, limit)? {
-                    crate::par::ParAttempt::Done(r) => return Ok(r),
-                    crate::par::ParAttempt::Fallback => {}
-                }
+            match self.par_run(crate::par::Job::Replace { perm, pid }, f, 0, limit)? {
+                crate::par::ParAttempt::Done(r) => return Ok(r),
+                crate::par::ParAttempt::Fallback => {}
             }
         }
         self.replace_rec(f, perm, pid)

@@ -28,11 +28,9 @@ impl Inner {
                 return Ok(f);
             }
             let limit = self.level(c);
-            if limit >= 2 && self.probe_at_least(&[f], self.par_cutoff()) {
-                match self.par_run(crate::par::Job::Exists { cube: c }, f, 0, limit)? {
-                    crate::par::ParAttempt::Done(r) => return Ok(r),
-                    crate::par::ParAttempt::Fallback => {}
-                }
+            match self.par_run(crate::par::Job::Exists { cube: c }, f, 0, limit)? {
+                crate::par::ParAttempt::Done(r) => return Ok(r),
+                crate::par::ParAttempt::Fallback => {}
             }
         }
         self.exists_rec(f, cube)
@@ -103,12 +101,10 @@ impl Inner {
                 return self.apply(BinOp::And, f, g);
             }
             let limit = self.level(c);
-            if limit >= 2 && self.probe_at_least(&[f, g], self.par_cutoff()) {
-                let (f2, g2) = if f > g { (g, f) } else { (f, g) };
-                match self.par_run(crate::par::Job::AndExists { cube: c }, f2, g2, limit)? {
-                    crate::par::ParAttempt::Done(r) => return Ok(r),
-                    crate::par::ParAttempt::Fallback => {}
-                }
+            let (f2, g2) = if f > g { (g, f) } else { (f, g) };
+            match self.par_run(crate::par::Job::AndExists { cube: c }, f2, g2, limit)? {
+                crate::par::ParAttempt::Done(r) => return Ok(r),
+                crate::par::ParAttempt::Fallback => {}
             }
         }
         self.and_exists_rec(f, g, cube)

@@ -116,6 +116,10 @@ pub struct KernelStats {
     /// by parallel workers (they are committed to the master arena at the
     /// join; there is no scratch address space and no import replay).
     pub par_shared_nodes: u64,
+    /// Operand nodes visited by the parallel engine's size probe. The
+    /// probe only runs once the split plan has at least two tasks, so
+    /// operations the engine could never split cost it nothing.
+    pub par_probe_nodes: u64,
     /// Worker threads the most recent parallel operation actually ran
     /// with, after clamping the configured count to the hardware
     /// parallelism reported by `std::thread::available_parallelism()`.
@@ -273,7 +277,8 @@ const INITIAL_BUCKETS: usize = 1 << 12;
 const INITIAL_CACHE: usize = 1 << 14;
 const MAX_CACHE: usize = 1 << 22;
 /// Default parallel engagement cutoff: combined operand node count below
-/// which thread spawn/import overhead dwarfs any speedup.
+/// which spawning workers and committing their nodes cost more than the
+/// split saves.
 pub(crate) const DEFAULT_PAR_CUTOFF: usize = 8192;
 
 /// Parses a positive integer from the environment; absent, empty or
@@ -535,16 +540,19 @@ impl Inner {
     /// least `threshold` distinct internal nodes; stops walking early
     /// either way, so the probe costs at most `threshold` node visits.
     /// Deterministic for a given master table, which keeps the parallel
-    /// engagement decision independent of thread count.
-    pub(crate) fn probe_at_least(&self, roots: &[u32], threshold: usize) -> bool {
+    /// engagement decision independent of thread count. The visits are
+    /// counted in [`KernelStats::par_probe_nodes`].
+    pub(crate) fn probe_at_least(&mut self, roots: &[u32], threshold: usize) -> bool {
         let mut seen = std::collections::HashSet::with_capacity(threshold.min(1 << 16));
         let mut stack: Vec<u32> = roots.iter().copied().filter(|&r| r > 1).collect();
+        let mut found = false;
         while let Some(id) = stack.pop() {
             if !seen.insert(id) {
                 continue;
             }
             if seen.len() >= threshold {
-                return true;
+                found = true;
+                break;
             }
             let n = self.nodes.get(id as usize);
             if n.low > 1 {
@@ -554,7 +562,8 @@ impl Inner {
                 stack.push(n.high);
             }
         }
-        false
+        self.stats.par_probe_nodes += seen.len() as u64;
+        found
     }
 
     /// Installs (or clears, with `Budget::unlimited()`) the resource budget.
