@@ -214,6 +214,10 @@ JEDD_BENCH_SAMPLES=1 JEDD_BENCH_JSON="$(pwd)/BENCH_kernel.json" \
 JEDD_BENCH_SAMPLES=1 JEDD_ORDER_SEARCH_ROUNDS="${JEDD_ORDER_SEARCH_ROUNDS:-1}" \
     JEDD_BENCH_JSON="$(pwd)/BENCH_kernel.json" \
     cargo bench -p jedd-bench --bench chain_reduction --offline
+# Table 1's combined assignment problem: SAT size and best compile and
+# solve times of the five analyses' mini-Jedd sources.
+JEDD_BENCH_SAMPLES=3 JEDD_BENCH_JSON="$(pwd)/BENCH_kernel.json" \
+    cargo bench -p jedd-bench --bench domain_assignment --offline
 # sifting and var_order report their ablation numbers through the same
 # stamped JSON so the order-lab trajectory is tracked run over run.
 JEDD_BENCH_SAMPLES=1 JEDD_BENCH_JSON="$(pwd)/BENCH_kernel.json" \

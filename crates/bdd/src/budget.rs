@@ -178,8 +178,9 @@ impl CancelToken {
 /// The default budget is unlimited; limits compose freely. `max_steps`,
 /// the deadline and the cancel token are scoped per top-level operation;
 /// `max_live_nodes` bounds the shared arena. Deadline and cancellation are
-/// only probed every [`Budget::CHECK_INTERVAL`] recursion steps, keeping
-/// the governed fast path to one branch and one increment.
+/// probed on an operation's first recursion step and then only every
+/// [`Budget::CHECK_INTERVAL`] steps, keeping the governed fast path to one
+/// branch and one increment.
 ///
 /// # Examples
 ///
@@ -203,8 +204,9 @@ pub struct Budget {
 }
 
 impl Budget {
-    /// Deadline and cancellation are probed every this many recursion
-    /// steps, so `Instant::now` stays off the per-node fast path.
+    /// After an operation's first step, deadline and cancellation are
+    /// probed every this many recursion steps, so `Instant::now` stays
+    /// off the per-node fast path.
     pub const CHECK_INTERVAL: u64 = 1024;
 
     /// A budget with no limits (the manager default).

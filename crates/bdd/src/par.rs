@@ -430,6 +430,7 @@ struct WorkerStats {
     created: u64,
     unique_hits: u64,
     steals: u64,
+    replace_rebuilds: u64,
 }
 
 impl WorkerStats {
@@ -442,6 +443,7 @@ impl WorkerStats {
             created: 0,
             unique_hits: 0,
             steals: 0,
+            replace_rebuilds: 0,
         }
     }
 }
@@ -748,6 +750,7 @@ impl<'a> Worker<'a> {
         let r = if new_level < self.level_any(lo2) && new_level < self.level_any(hi2) {
             self.cmk(new_level, lo2, hi2)?
         } else {
+            self.stats.replace_rebuilds += 1;
             let var = self.cmk(new_level, 0, 1)?;
             self.wite(var, hi2, lo2)?
         };
@@ -1063,6 +1066,7 @@ impl Inner {
             }
             self.stats.unique_hits += w.unique_hits;
             self.stats.par_steals += w.steals;
+            self.stats.replace_rebuilds += w.replace_rebuilds;
         }
         if active {
             self.stats.governed_steps += steps;

@@ -107,6 +107,7 @@ impl Inner {
         let r = if new_level < self.level(lo2) && new_level < self.level(hi2) {
             self.mk(new_level, lo2, hi2)?
         } else {
+            self.stats.replace_rebuilds += 1;
             let var = self.mk(new_level, 0, 1)?;
             self.ite(var, hi2, lo2)?
         };

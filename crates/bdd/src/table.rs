@@ -99,6 +99,10 @@ pub struct KernelStats {
     /// Cache lookup/hit counters split by operation, in the order of
     /// [`KernelStats::CACHE_OP_NAMES`].
     pub per_op_cache: [OpCacheStats; 10],
+    /// Nodes `replace` rebuilt through `ite` because the permutation
+    /// reversed the level order below them; an order-preserving replace
+    /// builds every node with one `mk` and leaves this at zero.
+    pub replace_rebuilds: u64,
     /// Cache sweeps run by the garbage collector.
     pub cache_sweeps: u64,
     /// Cache entries dropped by sweeps (an operand or the result died).
@@ -609,9 +613,11 @@ impl Inner {
     }
 
     /// One recursion step of a governed operation. Counts toward the step
-    /// limit; probes the deadline and cancellation token every
-    /// [`Budget::CHECK_INTERVAL`] steps so `Instant::now` stays off the
-    /// per-node fast path.
+    /// limit; probes the deadline and cancellation token on the
+    /// operation's first step and then every [`Budget::CHECK_INTERVAL`]
+    /// steps, so `Instant::now` stays off the per-node fast path while an
+    /// operation too small to reach the interval still sees a cancelled
+    /// token or an expired deadline.
     #[inline]
     pub(crate) fn step(&mut self) -> Result<(), BddError> {
         if self.paged {
@@ -635,7 +641,7 @@ impl Inner {
                 });
             }
         }
-        if self.steps.is_multiple_of(Budget::CHECK_INTERVAL) {
+        if self.steps == 1 || self.steps.is_multiple_of(Budget::CHECK_INTERVAL) {
             if let Some(token) = &self.budget.cancel {
                 if token.is_cancelled() {
                     return Err(BddError::Cancelled);

@@ -218,7 +218,8 @@ impl Relation {
     /// Copies attribute `from` into two attributes `to1` and `to2`, both
     /// holding `from`'s value in every tuple — Jedd's `(from=>to1 to2) x`
     /// (the \[Copy\] rule). `to1` keeps `from`'s physical domain; `to2` goes
-    /// to `to2_physdom` (or a scratch domain when `None`).
+    /// to `to2_physdom`, or when `None` to a free domain whose bits sit in
+    /// the same level gaps as `from`'s (a scratch domain if there is none).
     ///
     /// # Errors
     ///
@@ -261,8 +262,13 @@ impl Relation {
         let p_to2 = match to2_physdom {
             Some(p) => p,
             None => {
-                let bits = self.universe.physdom_bits(p_from).len();
-                self.universe.scratch_physdom(bits, &in_use)
+                // `to2` lands next to `from`, as if `from` moved there.
+                let others: Vec<(PhysDomId, PhysDomId)> = in_use
+                    .iter()
+                    .filter(|&&p| p != p_from)
+                    .map(|&p| (p, p))
+                    .collect();
+                self.universe.relocation_physdom(p_from, &others, &in_use)
             }
         };
         if in_use.contains(&p_to2) {
@@ -377,31 +383,36 @@ impl Relation {
         //  * each compared attribute must sit in the physical domain of its
         //    partner in `self`;
         //  * each kept attribute must sit in a physical domain unused by
-        //    `self` and by the other targets.
-        let mut target: Vec<(AttrId, PhysDomId)> = Vec::new();
-        let mut used: Vec<PhysDomId> = self.schema.iter().map(|&(_, p)| p).collect();
-        for (&a, &b) in self_attrs.iter().zip(other_attrs.iter()) {
-            let p = self.physdom_of(a).expect("validated");
-            target.push((b, p));
-        }
-        for &k in &other_kept {
-            let cur = other.physdom_of(k).expect("validated");
-            let taken: Vec<PhysDomId> = used
+        //    `self` and by the other targets. Kept attributes whose domain
+        //    is free stay first, so a mover never displaces one of them.
+        let mut target: Vec<(AttrId, PhysDomId)> = self_attrs
+            .iter()
+            .zip(other_attrs.iter())
+            .map(|(&a, &b)| (b, self.physdom_of(a).expect("validated")))
+            .collect();
+        let taken: Vec<PhysDomId> = self
+            .schema
+            .iter()
+            .map(|&(_, p)| p)
+            .chain(target.iter().map(|&(_, p)| p))
+            .collect();
+        let (stay, movers): (Vec<AttrId>, Vec<AttrId>) = other_kept
+            .iter()
+            .partition(|&&k| !taken.contains(&other.physdom_of(k).expect("validated")));
+        target.extend(
+            stay.iter()
+                .map(|&k| (k, other.physdom_of(k).expect("validated"))),
+        );
+        for &k in &movers {
+            let placed: Vec<(PhysDomId, PhysDomId)> = target
                 .iter()
-                .copied()
-                .chain(target.iter().map(|&(_, p)| p))
+                .map(|&(a, p)| (other.physdom_of(a).expect("validated"), p))
                 .collect();
-            let p = if taken.contains(&cur) {
-                let bits = self.universe.physdom_bits(cur).len();
-                let p = self.universe.scratch_physdom(bits, &taken);
-                self.universe.count_auto_replace();
-                p
-            } else {
-                cur
-            };
+            let cur = other.physdom_of(k).expect("validated");
+            let p = self.universe.relocation_physdom(cur, &placed, &taken);
+            self.universe.count_auto_replace();
             self.universe.check_fits(k, p)?;
             target.push((k, p));
-            used.push(p);
         }
         let moves: Vec<(PhysDomId, PhysDomId)> = target
             .iter()

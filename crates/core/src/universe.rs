@@ -434,10 +434,10 @@ impl Universe {
     }
 
     /// Finds or creates an anonymous scratch physical domain with at least
-    /// `bits` bits that is not in `in_use`. The dynamic relational API uses
-    /// these when an operation needs to move an attribute out of the way;
-    /// the jeddc path instead computes a global assignment and never needs
-    /// them.
+    /// `bits` bits that is not in `in_use`. The dynamic relational API
+    /// falls back to these when an operation must move an attribute out of
+    /// the way and no declared domain keeps the level order; the jeddc
+    /// path instead computes a global assignment and never needs them.
     pub fn scratch_physdom(&self, bits: usize, in_use: &[PhysDomId]) -> PhysDomId {
         {
             let inner = self.inner.borrow();
@@ -458,6 +458,73 @@ impl Universe {
             anonymous: true,
         });
         id
+    }
+
+    /// Picks the physical domain an operand's attribute moves to when its
+    /// current domain `from` is taken: an existing domain the move keeps
+    /// order-preserving when there is one, otherwise a scratch domain
+    /// from [`Universe::scratch_physdom`].
+    ///
+    /// `placed` gives, for every other physical domain the operand's
+    /// support lives in, where it sits before and after the operation
+    /// (`(p, p)` for one that stays). A candidate qualifies when it has
+    /// `from`'s width, is neither `excluded` nor a `placed` target, and,
+    /// at the manager's current levels, each of its bits falls in the same
+    /// gap between the placed bits as the `from` bit it replaces, in the
+    /// same relative order. The replace is then an order-preserving
+    /// permutation, which the kernel rebuilds with one `mk` per node
+    /// instead of an `ite`. Reading the current levels keeps the choice
+    /// right after sifting and under a learned order.
+    pub(crate) fn relocation_physdom(
+        &self,
+        from: PhysDomId,
+        placed: &[(PhysDomId, PhysDomId)],
+        excluded: &[PhysDomId],
+    ) -> PhysDomId {
+        let found = {
+            let inner = self.inner.borrow();
+            let level = |v: u32| inner.mgr.level_of_var(v);
+            let bits_of = |p: PhysDomId| &inner.physdoms[p.0 as usize].bits;
+            // (level before, level after) of every placed bit, pairing
+            // the low bits the way `apply_moves` does.
+            let mut fixed: Vec<(u32, u32)> = Vec::new();
+            for &(a, b) in placed {
+                let (fa, fb) = (bits_of(a), bits_of(b));
+                let n = fa.len().min(fb.len());
+                for (&x, &y) in fa[fa.len() - n..].iter().zip(&fb[fb.len() - n..]) {
+                    fixed.push((level(x), level(y)));
+                }
+            }
+            let from_bits = bits_of(from);
+            inner.physdoms.iter().enumerate().find_map(|(i, pd)| {
+                let id = PhysDomId(i as u32);
+                if id == from
+                    || pd.bits.len() != from_bits.len()
+                    || excluded.contains(&id)
+                    || placed.iter().any(|&(_, b)| b == id)
+                {
+                    return None;
+                }
+                let moved: Vec<(u32, u32)> = from_bits
+                    .iter()
+                    .zip(&pd.bits)
+                    .map(|(&x, &y)| (level(x), level(y)))
+                    .collect();
+                let keeps_order = moved.iter().enumerate().all(|(j, &(old, new))| {
+                    moved[j + 1..]
+                        .iter()
+                        .chain(&fixed)
+                        .all(|&(o, n)| (old < o) == (new < n))
+                });
+                keeps_order.then_some(id)
+            })
+        };
+        found.unwrap_or_else(|| {
+            let width = self.inner.borrow().physdoms[from.0 as usize].bits.len();
+            let mut in_use = excluded.to_vec();
+            in_use.extend(placed.iter().map(|&(_, b)| b));
+            self.scratch_physdom(width, &in_use)
+        })
     }
 
     /// Re-registers a physical domain from snapshot metadata: unlike

@@ -654,8 +654,9 @@ impl Executor {
                     r = r.project_away(&attrs)?;
                 }
                 for &(f, t1, t2) in copies {
-                    // Copy into a scratch domain; the final conform moves
-                    // everything onto the assigned domains in one step.
+                    // Copy into a free domain beside `f`'s (a scratch one
+                    // if none is free); the final conform moves everything
+                    // onto the assigned domains in one step.
                     r = r.copy(self.attr_id(f), self.attr_id(t1), self.attr_id(t2), None)?;
                 }
                 if !renames.is_empty() {

@@ -87,6 +87,12 @@ pub struct Solver {
     /// VSIDS activity per variable.
     activity: Vec<f64>,
     var_inc: f64,
+    /// Decision candidates: a binary max-heap of variable indices ordered
+    /// by activity, ties to the lower index. Every unassigned variable is
+    /// in it; assigned ones leave lazily when they reach the top.
+    heap: Vec<u32>,
+    /// Position of each variable in `heap` (INVALID when absent).
+    heap_pos: Vec<u32>,
     /// Saved phases for decision polarity.
     phase: Vec<bool>,
     next_original: u32,
@@ -98,6 +104,15 @@ pub struct Solver {
     pending_units: Vec<(Lit, u32)>,
     stats: SolverStats,
     solved: Option<SatOutcome>,
+    /// Test-only reference: pick decisions by a linear scan.
+    #[cfg(test)]
+    scan_picker: bool,
+    /// Test-only record of every decision literal, in order.
+    #[cfg(test)]
+    decisions_made: Vec<Lit>,
+    /// Test-only count of activity rescales.
+    #[cfg(test)]
+    rescales: u32,
 }
 
 impl Solver {
@@ -113,6 +128,8 @@ impl Solver {
         self.level.push(0);
         self.reason.push(INVALID);
         self.activity.push(0.0);
+        self.heap_pos.push(INVALID);
+        self.heap_insert(v.index());
         self.phase.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
@@ -302,7 +319,92 @@ impl Solver {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
+            #[cfg(test)]
+            {
+                self.rescales += 1;
+            }
+            // Scaling can round distinct activities to equal ones, which
+            // hands the order to the index tie-break: rebuild the heap.
+            self.heap_rebuild();
+        } else if self.heap_pos[v.index()] != INVALID {
+            self.heap_up(self.heap_pos[v.index()] as usize);
         }
+    }
+
+    /// Whether variable `a` is picked before `b`: higher activity first,
+    /// ties to the lower index (the order a linear scan would pick in).
+    #[inline]
+    fn heap_before(&self, a: u32, b: u32) -> bool {
+        let (x, y) = (self.activity[a as usize], self.activity[b as usize]);
+        x > y || (x == y && a < b)
+    }
+
+    fn heap_rebuild(&mut self) {
+        for i in (0..self.heap.len() / 2).rev() {
+            self.heap_down(i);
+        }
+    }
+
+    fn heap_insert(&mut self, v: usize) {
+        if self.heap_pos[v] != INVALID {
+            return;
+        }
+        self.heap_pos[v] = self.heap.len() as u32;
+        self.heap.push(v as u32);
+        self.heap_up(self.heap.len() - 1);
+    }
+
+    fn heap_up(&mut self, mut i: usize) {
+        let v = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let p = self.heap[parent];
+            if !self.heap_before(v, p) {
+                break;
+            }
+            self.heap[i] = p;
+            self.heap_pos[p as usize] = i as u32;
+            i = parent;
+        }
+        self.heap[i] = v;
+        self.heap_pos[v as usize] = i as u32;
+    }
+
+    fn heap_down(&mut self, mut i: usize) {
+        let v = self.heap[i];
+        loop {
+            let left = 2 * i + 1;
+            if left >= self.heap.len() {
+                break;
+            }
+            let right = left + 1;
+            let child =
+                if right < self.heap.len() && self.heap_before(self.heap[right], self.heap[left]) {
+                    right
+                } else {
+                    left
+                };
+            let c = self.heap[child];
+            if !self.heap_before(c, v) {
+                break;
+            }
+            self.heap[i] = c;
+            self.heap_pos[c as usize] = i as u32;
+            i = child;
+        }
+        self.heap[i] = v;
+        self.heap_pos[v as usize] = i as u32;
+    }
+
+    fn heap_pop(&mut self) -> Option<usize> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("non-empty");
+        self.heap_pos[top as usize] = INVALID;
+        if !self.heap.is_empty() {
+            self.heap[0] = last;
+            self.heap_down(0);
+        }
+        Some(top as usize)
     }
 
     /// First-UIP conflict analysis. Returns the learned clause, the
@@ -386,12 +488,30 @@ impl Solver {
                 let v = l.var().index();
                 self.assign[v] = LBool::Undef;
                 self.reason[v] = INVALID;
+                self.heap_insert(v);
             }
         }
         self.qhead = self.trail.len();
     }
 
+    /// The unassigned variable with the highest activity (lowest index
+    /// among equals), at its saved phase.
     fn pick_branch(&mut self) -> Option<Lit> {
+        #[cfg(test)]
+        if self.scan_picker {
+            return self.pick_branch_scan();
+        }
+        while let Some(v) = self.heap_pop() {
+            if self.assign[v] == LBool::Undef {
+                return Some(Var(v as u32).lit(self.phase[v]));
+            }
+        }
+        None
+    }
+
+    /// Reference picker for the heap: scans every variable.
+    #[cfg(test)]
+    fn pick_branch_scan(&mut self) -> Option<Lit> {
         let mut best: Option<usize> = None;
         for v in 0..self.num_vars() {
             if self.assign[v] == LBool::Undef {
@@ -526,6 +646,8 @@ impl Solver {
                         self.stats.decisions += 1;
                         self.trail_lim.push(self.trail.len());
                         let ok = self.enqueue(lit, INVALID);
+                        #[cfg(test)]
+                        self.decisions_made.push(lit);
                         debug_assert!(ok);
                     }
                 }
@@ -582,6 +704,120 @@ fn luby(mut i: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jedd_bdd::rng::XorShift64Star;
+
+    /// A random 3-CNF over `vars` variables with `clauses` clauses.
+    fn random_3cnf(rng: &mut XorShift64Star, vars: usize, clauses: usize) -> Vec<Vec<Lit>> {
+        (0..clauses)
+            .map(|_| {
+                (0..3)
+                    .map(|_| Var(rng.gen_index(0..vars) as u32).lit(rng.gen_bool(0.5)))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Solves `cnf` with the heap picker and with the linear-scan
+    /// reference, asserting identical decisions, outcomes and models.
+    /// `activity` presets the variables' starting activities (empty: all
+    /// zero).
+    fn assert_pickers_agree(vars: usize, cnf: &[Vec<Lit>], activity: &[f64]) -> Solver {
+        let run = |scan: bool| {
+            let mut s = Solver::new();
+            s.scan_picker = scan;
+            s.new_vars(vars);
+            if !activity.is_empty() {
+                s.activity.copy_from_slice(activity);
+                s.heap_rebuild();
+            }
+            for c in cnf {
+                s.add_clause(c);
+            }
+            s.solve();
+            s
+        };
+        let (heap, scan) = (run(false), run(true));
+        assert_eq!(
+            heap.decisions_made, scan.decisions_made,
+            "decision trails differ"
+        );
+        assert_eq!(heap.solved, scan.solved);
+        assert_eq!(heap.stats, scan.stats);
+        if heap.solved == Some(SatOutcome::Sat) {
+            for v in 0..vars {
+                let v = Var(v as u32);
+                assert_eq!(
+                    heap.model_value(v),
+                    scan.model_value(v),
+                    "model differs at {v:?}"
+                );
+            }
+        }
+        heap
+    }
+
+    #[test]
+    fn heap_picker_matches_linear_scan_on_random_cnfs() {
+        let mut rng = XorShift64Star::new(0x4ea9);
+        let mut sat = 0;
+        for case in 0..64 {
+            let vars = 20 + case % 40;
+            // Around the 3-SAT threshold (ratio ~4.26), both outcomes occur.
+            let clauses = vars * (380 + rng.gen_index(0..90)) / 100;
+            let cnf = random_3cnf(&mut rng, vars, clauses);
+            let s = assert_pickers_agree(vars, &cnf, &[]);
+            sat += usize::from(s.solved == Some(SatOutcome::Sat));
+        }
+        assert!(
+            sat > 0 && sat < 64,
+            "want both outcomes, got {sat} sat of 64"
+        );
+    }
+
+    #[test]
+    fn heap_picker_survives_an_activity_rescale() {
+        // Even variables start past the 1e100 threshold, so the first
+        // conflict rescales. Odd ones start tiny and increasing with the
+        // index; the rescale flushes them to zero, where the order flips
+        // to the index tie-break.
+        let mut rng = XorShift64Star::new(0x4eaa);
+        let vars = 100;
+        let cnf = random_3cnf(&mut rng, vars, vars * 426 / 100);
+        let activity: Vec<f64> = (0..vars)
+            .map(|v| {
+                if v % 2 == 0 {
+                    2e100
+                } else {
+                    (v + 1) as f64 * 1e-300
+                }
+            })
+            .collect();
+        let s = assert_pickers_agree(vars, &cnf, &activity);
+        assert!(
+            s.rescales > 0,
+            "no rescale after {} conflicts",
+            s.stats.conflicts
+        );
+
+        // The heap itself, drained after a rescale, yields the scan order:
+        // every tiny activity flushes to zero, so the variables the heap
+        // was built on highest index first must come out lowest first.
+        let mut s = Solver::new();
+        s.new_vars(vars);
+        for (v, a) in s.activity.iter_mut().enumerate() {
+            *a = if v == 0 {
+                2e100
+            } else {
+                (v + 1) as f64 * 1e-300
+            };
+        }
+        s.heap_rebuild();
+        s.var_inc = 1.0;
+        s.bump_var(Var(0));
+        assert_eq!(s.rescales, 1);
+        let drained: Vec<usize> = std::iter::from_fn(|| s.heap_pop()).collect();
+        assert_eq!(drained, (0..vars).collect::<Vec<_>>());
+    }
 
     #[test]
     fn luby_sequence() {
