@@ -195,7 +195,10 @@ JEDD_BENCH_SAMPLES=3 JEDD_BENCH_JSON="$(pwd)/BENCH_kernel.json" \
     cargo bench -p jedd-bench --bench pointsto_overhead --offline
 # The fixpoint bench asserts naive/semi-naive agreement tuple-for-tuple
 # and that semi-naive never takes more rounds, so a delta-engine
-# regression fails CI here.
+# regression fails CI here. Its jeddc group does the same for the
+# executor's semi-naive statements: `driver::run_jedd` on javac in the
+# default mode against Strategy::Naive, asserting every global relation
+# agrees and that the default mode creates fewer kernel nodes.
 JEDD_BENCH_SAMPLES=3 JEDD_BENCH_JSON="$(pwd)/BENCH_kernel.json" \
     cargo bench -p jedd-bench --bench fixpoint_seminaive --offline
 # The shared-table kernel bench validates thread-count-independence of

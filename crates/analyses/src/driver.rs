@@ -5,7 +5,7 @@
 use crate::facts::Facts;
 use crate::ir::Program;
 use crate::{baseline_sets, callgraph, hierarchy, jedd_src, pointsto, sideeffect};
-use jedd_core::{BddError, Budget, JeddError, OpEvent, Relation};
+use jedd_core::{BddError, Budget, JeddError, OpEvent, Relation, Strategy};
 use jeddc::{ExecError, Executor};
 use std::collections::BTreeSet;
 
@@ -271,7 +271,7 @@ fn fallback_side_effects(
 ///
 /// Returns compile or runtime errors from the jeddc pipeline.
 pub fn run_jedd(p: &Program) -> Result<Executor, Box<dyn std::error::Error>> {
-    run_jedd_impl(p, false)
+    run_jedd_with(p, false, Strategy::default())
 }
 
 /// Like [`run_jedd`], with declared-type filtering enabled (the `ptFilter`
@@ -281,10 +281,75 @@ pub fn run_jedd(p: &Program) -> Result<Executor, Box<dyn std::error::Error>> {
 ///
 /// Same conditions as [`run_jedd`].
 pub fn run_jedd_typed(p: &Program) -> Result<Executor, Box<dyn std::error::Error>> {
-    run_jedd_impl(p, true)
+    run_jedd_with(p, true, Strategy::default())
 }
 
-fn run_jedd_impl(p: &Program, typed: bool) -> Result<Executor, Box<dyn std::error::Error>> {
+/// [`run_jedd`] (`typed = false`) or [`run_jedd_typed`] (`typed = true`)
+/// with the executor's statements run under `strategy`;
+/// [`Strategy::Naive`] is the oracle for the default semi-naive
+/// statements.
+///
+/// # Errors
+///
+/// Same conditions as [`run_jedd`].
+pub fn run_jedd_with(
+    p: &Program,
+    typed: bool,
+    strategy: Strategy,
+) -> Result<Executor, Box<dyn std::error::Error>> {
+    let mut exec = load_jedd(p)?;
+    exec.set_strategy(strategy);
+    // Run the modules: hierarchy once, then the points-to / call-graph
+    // fixpoint, then side effects.
+    exec.run("hierarchy")?;
+    exec.run("ptInit")?;
+    if typed {
+        exec.run("ptFilterInit")?;
+        exec.run("ptFilter")?;
+    }
+    let mut rounds = 0usize;
+    loop {
+        rounds += 1;
+        let before = (
+            exec.relation("pt")?.size(),
+            exec.relation("edges")?.size(),
+            exec.relation("siteTarget")?.size(),
+        );
+        if typed {
+            exec.run("ptStepTyped")?;
+        } else {
+            exec.run("ptStep")?;
+        }
+        exec.run("mkSiteTypes")?;
+        exec.run("vcr")?;
+        exec.run("cgBuild")?;
+        exec.run("cgParamEdges")?;
+        let after = (
+            exec.relation("pt")?.size(),
+            exec.relation("edges")?.size(),
+            exec.relation("siteTarget")?.size(),
+        );
+        if before == after {
+            break;
+        }
+        if rounds > 1000 {
+            return Err(Box::new(ExecError {
+                message: "whole-program fixpoint failed to converge".into(),
+            }));
+        }
+    }
+    exec.run("sideEffects")?;
+    Ok(exec)
+}
+
+/// Compiles the combined mini-Jedd program, binds its domains to `p`'s
+/// sizes and loads `p`'s facts — everything [`run_jedd`] does before the
+/// first rule runs.
+///
+/// # Errors
+///
+/// Returns compile or loading errors from the jeddc pipeline.
+pub fn load_jedd(p: &Program) -> Result<Executor, Box<dyn std::error::Error>> {
     let compiled = jeddc::compile(&jedd_src::combined())?;
     let mut exec = Executor::new(&compiled)?;
     exec.bind_domain_size("Type", p.types.max(1) as u64)?;
@@ -424,47 +489,6 @@ fn run_jedd_impl(p: &Program, typed: bool) -> Result<Executor, Box<dyn std::erro
         }
     }
     exec.set_input("varType", &vt)?;
-
-    // Run the modules: hierarchy once, then the points-to / call-graph
-    // fixpoint, then side effects.
-    exec.run("hierarchy")?;
-    exec.run("ptInit")?;
-    if typed {
-        exec.run("ptFilterInit")?;
-        exec.run("ptFilter")?;
-    }
-    let mut rounds = 0usize;
-    loop {
-        rounds += 1;
-        let before = (
-            exec.relation("pt")?.size(),
-            exec.relation("edges")?.size(),
-            exec.relation("siteTarget")?.size(),
-        );
-        if typed {
-            exec.run("ptStepTyped")?;
-        } else {
-            exec.run("ptStep")?;
-        }
-        exec.run("mkSiteTypes")?;
-        exec.run("vcr")?;
-        exec.run("cgBuild")?;
-        exec.run("cgParamEdges")?;
-        let after = (
-            exec.relation("pt")?.size(),
-            exec.relation("edges")?.size(),
-            exec.relation("siteTarget")?.size(),
-        );
-        if before == after {
-            break;
-        }
-        if rounds > 1000 {
-            return Err(Box::new(ExecError {
-                message: "whole-program fixpoint failed to converge".into(),
-            }));
-        }
-    }
-    exec.run("sideEffects")?;
     Ok(exec)
 }
 

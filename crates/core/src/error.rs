@@ -74,6 +74,14 @@ pub enum JeddError {
         /// The domain size.
         size: u64,
     },
+    /// A tuple handed to a constructor has a different number of columns
+    /// than the schema.
+    TupleArity {
+        /// Columns the schema has.
+        expected: usize,
+        /// Columns the tuple has.
+        found: usize,
+    },
     /// Relations from different universes were combined.
     UniverseMismatch,
     /// The BDD kernel exhausted its resource budget (node limit, step
@@ -147,6 +155,9 @@ impl fmt::Display for JeddError {
                 f,
                 "object index {index} out of range for domain {domain} (size {size})"
             ),
+            JeddError::TupleArity { expected, found } => {
+                write!(f, "tuple has {found} columns but the schema has {expected}")
+            }
             JeddError::UniverseMismatch => {
                 write!(f, "relations belong to different universes")
             }
@@ -203,6 +214,10 @@ mod tests {
                 domain: "Type".into(),
                 index: 9,
                 size: 4,
+            },
+            JeddError::TupleArity {
+                expected: 2,
+                found: 1,
             },
             JeddError::UniverseMismatch,
             JeddError::ResourceExhausted {

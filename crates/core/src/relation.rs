@@ -237,13 +237,12 @@ impl Relation {
             bdd: universe.bdd_manager().constant_false(),
         };
         for t in tuples {
-            assert_eq!(
-                t.len(),
-                schema.len(),
-                "tuple arity {} does not match schema arity {}",
-                t.len(),
-                schema.len()
-            );
+            if t.len() != schema.len() {
+                return Err(JeddError::TupleArity {
+                    expected: schema.len(),
+                    found: t.len(),
+                });
+            }
             let fields: Vec<(AttrId, PhysDomId, u64)> = schema
                 .iter()
                 .zip(t.iter())

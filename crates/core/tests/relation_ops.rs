@@ -211,6 +211,29 @@ fn set_ops_match_paper_semantics() {
 }
 
 #[test]
+fn from_tuples_rejects_a_wrong_arity_with_a_typed_error() {
+    let u = Universe::new();
+    let d = u.add_domain("D", 4);
+    let p1 = u.add_physical_domain("P1", 2);
+    let p2 = u.add_physical_domain("P2", 2);
+    let a = u.add_attribute("a", d);
+    let b = u.add_attribute("b", d);
+    let schema = [(a, p1), (b, p2)];
+    for bad in [vec![1], vec![1, 2, 3], vec![]] {
+        let err = Relation::from_tuples(&u, &schema, &[vec![0, 1], bad.clone()]).unwrap_err();
+        assert_eq!(
+            err,
+            JeddError::TupleArity {
+                expected: 2,
+                found: bad.len()
+            }
+        );
+    }
+    let ok = Relation::from_tuples(&u, &schema, &[vec![0, 1], vec![3, 2]]).unwrap();
+    assert_eq!(ok.size(), 2);
+}
+
+#[test]
 fn full_relation_counts_valid_tuples_only() {
     let u = Universe::new();
     let d5 = u.add_domain("D5", 5);

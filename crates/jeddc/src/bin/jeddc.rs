@@ -11,7 +11,9 @@
 //! ```
 //!
 //! * `--emit-java` — print the generated code to stdout;
-//! * `--stats`     — print the Table-1 statistics of the assignment;
+//! * `--stats`     — print the Table-1 statistics of the assignment, then
+//!   which statements the executor can ever re-run on their inputs'
+//!   deltas, and why the others always run in full;
 //! * `--auto`      — pin unspecified components to fresh physical domains
 //!   instead of reporting them (the paper's manual workflow, automated);
 //! * `--lint`      — run the `jeddlint` passes and print diagnostics
@@ -126,6 +128,7 @@ fn main() -> ExitCode {
                     s.flow_paths,
                     s.solve_seconds
                 );
+                print!("{}", compiled.plan.render(&compiled.typed));
             }
             if emit_java {
                 print!("{}", jeddc::emit_java_like(&compiled));

@@ -11,10 +11,12 @@ use crate::assignc::Assignment;
 use crate::check::{
     AttrIdx, PdIdx, TCond, TExpr, TExprKind, TLiteralObj, TStmt, TypedProgram, VarIdx,
 };
+use crate::delta::{DeltaPlan, Fallback, StmtPlan};
 use crate::diag::JeddcError;
-use jedd_core::{AttrId, DomainId, JeddError, PhysDomId, Relation, Universe};
+use jedd_core::{AttrId, DomainId, JeddError, PhysDomId, Relation, Strategy, Universe};
 use std::collections::HashMap;
 use std::fmt;
+use std::time::Instant;
 
 use crate::ast::{AssignOp, DomainSpec, SetOp};
 
@@ -26,6 +28,8 @@ pub struct CompiledProgram {
     pub typed: TypedProgram,
     /// The attribute → physical-domain assignment of every expression.
     pub assignment: Assignment,
+    /// Read sets and delta eligibility of every statement.
+    pub plan: DeltaPlan,
 }
 
 /// Compiles mini-Jedd source. All connected components of the constraint
@@ -72,7 +76,12 @@ fn compile_impl(src: &str, auto_pin: bool, file: &str) -> Result<CompiledProgram
     let ast = crate::parse::parse(src)?;
     let typed = crate::check::check(&ast)?;
     let assignment = crate::assignc::assign_named(&typed, auto_pin, file)?;
-    Ok(CompiledProgram { typed, assignment })
+    let plan = DeltaPlan::build(&typed);
+    Ok(CompiledProgram {
+        typed,
+        assignment,
+        plan,
+    })
 }
 
 /// A runtime error while preparing or running a compiled program.
@@ -134,8 +143,76 @@ pub struct Executor {
     physdom_ids: Vec<Option<PhysDomId>>,
     env: Vec<Option<Relation>>,
     prepared: bool,
+    strategy: Strategy,
+    /// What each statement last read and wrote, by statement index.
+    memo: Vec<Option<Memo>>,
+    stmt_stats: Vec<StmtStats>,
+    rule_stats: Vec<RuleStats>,
     /// Replace operations executed on behalf of the assignment.
     pub replaces: u64,
+}
+
+/// The inputs that grew since a statement's last run, and what each
+/// gained, in the same order.
+struct Deltas {
+    vars: Vec<VarIdx>,
+    gained: Vec<Relation>,
+}
+
+/// The relation a delta run adds to, and the inputs' deltas.
+type DeltaRun = (Relation, Deltas);
+
+/// The relations a statement last read (one per variable in its read
+/// set, in read-set order) and the relation it last wrote.
+struct Memo {
+    inputs: Vec<Relation>,
+    written: Relation,
+}
+
+/// Execution counters of one statement, or summed over a rule.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct StmtStats {
+    /// Times the statement ran.
+    pub executions: u64,
+    /// Runs that evaluated the expression on its inputs' deltas only.
+    pub delta_executions: u64,
+    /// Runs that took the full path, by [`Fallback::index`]. Under
+    /// [`Strategy::Naive`] no reason is recorded.
+    pub fallbacks: [u64; 5],
+    /// Tuples the delta runs derived, before the union into the target.
+    pub delta_tuples: u64,
+    /// Wall-clock time spent in the statement.
+    pub nanos: u64,
+}
+
+impl StmtStats {
+    /// Full-path runs for one reason.
+    pub fn fallback(&self, reason: Fallback) -> u64 {
+        self.fallbacks[reason.index()]
+    }
+
+    fn add(&mut self, other: &StmtStats) {
+        self.executions += other.executions;
+        self.delta_executions += other.delta_executions;
+        for (a, b) in self.fallbacks.iter_mut().zip(other.fallbacks) {
+            *a += b;
+        }
+        self.delta_tuples += other.delta_tuples;
+        self.nanos += other.nanos;
+    }
+}
+
+/// Execution counters of one rule.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct RuleStats {
+    /// The rule's name.
+    pub rule: String,
+    /// Times the host ran it.
+    pub runs: u64,
+    /// Wall-clock time spent in it.
+    pub nanos: u64,
+    /// Its statements' counters, summed.
+    pub statements: StmtStats,
 }
 
 impl fmt::Debug for Executor {
@@ -179,6 +256,18 @@ impl Executor {
             physdom_ids: vec![None; compiled.assignment.physdom_names.len()],
             env: vec![None; compiled.typed.vars.len()],
             prepared: false,
+            strategy: Strategy::default(),
+            memo: (0..compiled.plan.statements.len()).map(|_| None).collect(),
+            stmt_stats: vec![StmtStats::default(); compiled.plan.statements.len()],
+            rule_stats: compiled
+                .typed
+                .rules
+                .iter()
+                .map(|r| RuleStats {
+                    rule: r.name.clone(),
+                    ..RuleStats::default()
+                })
+                .collect(),
             replaces: 0,
         })
     }
@@ -395,12 +484,52 @@ impl Executor {
     /// Returns an error for unknown rules or runtime failures.
     pub fn run(&mut self, rule: &str) -> Result<(), ExecError> {
         self.prepare()?;
-        let Some(r) = self.compiled.typed.rule(rule) else {
+        let Some(ri) = self
+            .compiled
+            .typed
+            .rules
+            .iter()
+            .position(|r| r.name == rule)
+        else {
             return Err(exec_err(format!("unknown rule `{rule}`")));
         };
-        let body = r.body.clone();
+        let body = self.compiled.typed.rules[ri].body.clone();
         self.universe.set_site(rule);
-        self.exec_block(&body)
+        let start = Instant::now();
+        let result = self.exec_block(&body);
+        let stats = &mut self.rule_stats[ri];
+        stats.runs += 1;
+        stats.nanos += start.elapsed().as_nanos() as u64;
+        result
+    }
+
+    /// Chooses how statements run. [`Strategy::SemiNaive`] (the default)
+    /// re-runs a statement on what its inputs gained whenever that is
+    /// exact; [`Strategy::Naive`] forces the full path everywhere and
+    /// serves as the oracle. Switching to naive drops every memo.
+    pub fn set_strategy(&mut self, strategy: Strategy) {
+        self.strategy = strategy;
+        if strategy == Strategy::Naive {
+            self.memo.iter_mut().for_each(|m| *m = None);
+        }
+    }
+
+    /// Every memoised statement's static plan with its counters, rule by
+    /// rule in source order.
+    pub fn statement_stats(&self) -> impl Iterator<Item = (&StmtPlan, &StmtStats)> {
+        self.compiled.plan.statements.iter().zip(&self.stmt_stats)
+    }
+
+    /// Per-rule counters, in declaration order, each summing its
+    /// statements.
+    pub fn rule_stats(&self) -> Vec<RuleStats> {
+        let mut out = self.rule_stats.clone();
+        for (plan, stats) in self.statement_stats() {
+            if let Some(r) = out.iter_mut().find(|r| r.rule == plan.rule) {
+                r.statements.add(stats);
+            }
+        }
+        out
     }
 
     /// The current value of a relation variable (globals only).
@@ -479,36 +608,17 @@ impl Executor {
 
     fn exec_stmt(&mut self, s: &TStmt) -> Result<(), ExecError> {
         match s {
-            TStmt::Local { var, init, .. } => {
+            TStmt::Local {
+                var, init: None, ..
+            } => {
                 let schema = self.var_schema(*var)?;
-                let value = match init {
-                    Some(e) => {
-                        let r = self.eval(e)?;
-                        self.conform_to_var(r, *var)?
-                    }
-                    None => Relation::empty(&self.universe, &schema)?,
-                };
-                self.env[*var as usize] = Some(value);
+                self.env[*var as usize] = Some(Relation::empty(&self.universe, &schema)?);
                 Ok(())
             }
-            TStmt::Assign { var, op, expr, .. } => {
-                let r = self.eval(expr)?;
-                let r = self.conform_to_var(r, *var)?;
-                let current = self.env[*var as usize].clone();
-                let next = match (op, current) {
-                    (AssignOp::Set, _) => r,
-                    (AssignOp::Union, Some(c)) => c.union(&r)?,
-                    (AssignOp::Intersect, Some(c)) => c.intersect(&r)?,
-                    (AssignOp::Minus, Some(c)) => c.minus(&r)?,
-                    (_, None) => {
-                        return Err(exec_err(
-                            "compound assignment to uninitialised relation",
-                        ))
-                    }
-                };
-                self.env[*var as usize] = Some(next);
-                Ok(())
-            }
+            TStmt::Local {
+                var, init: Some(e), ..
+            } => self.exec_assign(*var, AssignOp::Set, e),
+            TStmt::Assign { var, op, expr, .. } => self.exec_assign(*var, *op, expr),
             TStmt::DoWhile { body, cond } => {
                 let mut fuel = 1_000_000u64;
                 loop {
@@ -544,6 +654,202 @@ impl Executor {
                     self.exec_block(else_body)
                 }
             }
+        }
+    }
+
+    /// Runs one memoised statement: on its inputs' deltas when the memo
+    /// allows it, otherwise in full. Either way the memo then records
+    /// what the statement read and wrote.
+    fn exec_assign(&mut self, var: VarIdx, op: AssignOp, e: &TExpr) -> Result<(), ExecError> {
+        let start = Instant::now();
+        let si = self
+            .compiled
+            .plan
+            .statement_of(e.id)
+            .expect("every assignment has a plan");
+        let decision = match self.strategy {
+            Strategy::Naive => None,
+            Strategy::SemiNaive => Some(self.try_delta(si, var, op, e)?),
+        };
+        let (next, delta_tuples) = match decision {
+            Some(Ok((base, deltas))) => match self.eval_delta(e, &deltas)? {
+                Some(d) => {
+                    let d = self.conform_to_var(d, var)?;
+                    let tuples = d.size();
+                    (base.union(&d)?, Some(tuples))
+                }
+                None => (base, Some(0)),
+            },
+            fallback => {
+                if let Some(Err(reason)) = fallback {
+                    self.stmt_stats[si].fallbacks[reason.index()] += 1;
+                }
+                let r = self.eval(e)?;
+                let r = self.conform_to_var(r, var)?;
+                let next = match (op, self.env[var as usize].as_ref()) {
+                    (AssignOp::Set, _) => r,
+                    (AssignOp::Union, Some(c)) => c.union(&r)?,
+                    (AssignOp::Intersect, Some(c)) => c.intersect(&r)?,
+                    (AssignOp::Minus, Some(c)) => c.minus(&r)?,
+                    (_, None) => {
+                        return Err(exec_err("compound assignment to uninitialised relation"))
+                    }
+                };
+                (next, None)
+            }
+        };
+        if self.strategy == Strategy::SemiNaive
+            && self.compiled.plan.statements[si].never_delta.is_none()
+        {
+            // Capture the inputs before the write: the target may be one.
+            let inputs = self
+                .compiled
+                .plan
+                .reads(e.id)
+                .iter()
+                .map(|&v| self.env[v as usize].clone().expect("read by eval"))
+                .collect();
+            self.memo[si] = Some(Memo {
+                inputs,
+                written: next.clone(),
+            });
+        }
+        self.env[var as usize] = Some(next);
+        let stats = &mut self.stmt_stats[si];
+        stats.executions += 1;
+        if let Some(tuples) = delta_tuples {
+            stats.delta_executions += 1;
+            stats.delta_tuples += tuples;
+        }
+        stats.nanos += start.elapsed().as_nanos() as u64;
+        Ok(())
+    }
+
+    /// Decides whether statement `si` may run on deltas. On success,
+    /// returns the relation the deltas' result is added to — what the
+    /// statement last wrote for `=`, the current target for `|=` — and
+    /// the delta of every input that grew since its last run; otherwise
+    /// the reason it must run in full. The checks run cheapest first:
+    /// root equality, then a subset probe, and only then the
+    /// differences.
+    fn try_delta(
+        &self,
+        si: usize,
+        var: VarIdx,
+        op: AssignOp,
+        e: &TExpr,
+    ) -> Result<Result<DeltaRun, Fallback>, ExecError> {
+        let plan = &self.compiled.plan;
+        if let Some(reason) = plan.statements[si].never_delta {
+            return Ok(Err(reason));
+        }
+        let Some(memo) = &self.memo[si] else {
+            return Ok(Err(Fallback::FirstRun));
+        };
+        let mut grown = Vec::new();
+        for (&v, last) in plan.reads(e.id).iter().zip(&memo.inputs) {
+            let Some(now) = &self.env[v as usize] else {
+                return Ok(Err(Fallback::InputShrank));
+            };
+            if now.equals(last)? {
+                continue;
+            }
+            if !last.is_subset(now)? {
+                return Ok(Err(Fallback::InputShrank));
+            }
+            grown.push((v, now, last));
+        }
+        // `=` recomputes its target from scratch, so what the statement
+        // last wrote is exactly its expression on the last inputs, and
+        // whatever happened to the target since does not matter. `|=`
+        // adds to the target, which must still contain that last write.
+        let base = match (op, &self.env[var as usize]) {
+            (AssignOp::Set, _) => memo.written.clone(),
+            (_, Some(t)) if t.equals(&memo.written)? || memo.written.is_subset(t)? => t.clone(),
+            _ => return Ok(Err(Fallback::TargetRewritten)),
+        };
+        let vars: Vec<VarIdx> = grown.iter().map(|&(v, _, _)| v).collect();
+        if !plan.linear(e, &vars) {
+            return Ok(Err(Fallback::Nonlinear));
+        }
+        let mut gained = Vec::with_capacity(grown.len());
+        for (_, now, last) in grown {
+            gained.push(now.minus(last)?);
+        }
+        Ok(Ok((base, Deltas { vars, gained })))
+    }
+
+    /// Whether expression `e` reads an input that has a delta.
+    fn touched(&self, e: &TExpr, deltas: &Deltas) -> bool {
+        self.compiled.plan.touches(e.id, &deltas.vars)
+    }
+
+    /// Evaluates what `e` gains from `deltas`, `None` if it reads none of
+    /// them. The statement's plan guarantees linearity: a join, compose
+    /// or intersect has at most one touched operand, and the right side
+    /// of a minus is untouched, so the other operand is evaluated in
+    /// full on the current relations.
+    fn eval_delta(&mut self, e: &TExpr, deltas: &Deltas) -> Result<Option<Relation>, ExecError> {
+        if !self.touched(e, deltas) {
+            return Ok(None);
+        }
+        let result = match &e.kind {
+            TExprKind::Var(v) => {
+                let i = deltas.vars.iter().position(|d| d == v);
+                deltas.gained[i.expect("touched variable has a delta")].clone()
+            }
+            TExprKind::Empty | TExprKind::Full | TExprKind::Literal(_) => {
+                unreachable!("constants read no variable")
+            }
+            TExprKind::Replace { operand, .. } => {
+                let r = self.eval_delta(operand, deltas)?.expect("touched");
+                self.replace(e, r)?
+            }
+            TExprKind::SetOp {
+                op: SetOp::Union,
+                left,
+                right,
+            } => {
+                let node_schema = self.node_schema(e)?;
+                let l = self.eval_delta(left, deltas)?;
+                let r = self.eval_delta(right, deltas)?;
+                match (l, r) {
+                    (Some(l), Some(r)) => {
+                        let l = self.conform(l, &node_schema)?;
+                        let r = self.conform(r, &node_schema)?;
+                        l.union(&r)?
+                    }
+                    (Some(d), None) | (None, Some(d)) => d,
+                    (None, None) => unreachable!("touched"),
+                }
+            }
+            TExprKind::SetOp { op, left, right } => {
+                let (l, r) = self.eval_one_sided(left, right, deltas)?;
+                self.set_op(e, *op, l, r)?
+            }
+            TExprKind::JoinLike { left, right, .. } => {
+                let (l, r) = self.eval_one_sided(left, right, deltas)?;
+                self.join_like(e, l, r)?
+            }
+        };
+        let node_schema = self.node_schema(e)?;
+        Ok(Some(self.conform(result, &node_schema)?))
+    }
+
+    /// The operands of a bilinear node with exactly one touched side:
+    /// that side's delta and the other side's full value.
+    fn eval_one_sided(
+        &mut self,
+        left: &TExpr,
+        right: &TExpr,
+        deltas: &Deltas,
+    ) -> Result<(Relation, Relation), ExecError> {
+        if self.touched(left, deltas) {
+            let l = self.eval_delta(left, deltas)?.expect("touched");
+            Ok((l, self.eval(right)?))
+        } else {
+            let l = self.eval(left)?;
+            Ok((l, self.eval_delta(right, deltas)?.expect("touched")))
         }
     }
 
@@ -617,132 +923,160 @@ impl Executor {
                 .ok_or_else(|| exec_err("use of uninitialised relation"))?,
             TExprKind::Empty => Relation::empty(&self.universe, &node_schema)?,
             TExprKind::Full => Relation::full(&self.universe, &node_schema)?,
-            TExprKind::Literal(fields) => {
-                let mut concrete = Vec::new();
-                for (obj, attr, _) in fields {
-                    let aid = self.attr_id(*attr);
-                    let pd = node_schema
-                        .iter()
-                        .find(|&&(a, _)| a == aid)
-                        .map(|&(_, p)| p)
-                        .expect("literal attr in node schema");
-                    let value = match obj {
-                        TLiteralObj::Index(n) => *n,
-                        TLiteralObj::Label(l) => {
-                            let d = self.universe.attribute_domain(aid);
-                            self.universe.element_index(d, l).ok_or_else(|| {
-                                exec_err(format!(
-                                    "`{l}` is not an element of domain {}",
-                                    self.universe.domain_name(d)
-                                ))
-                            })?
-                        }
-                    };
-                    concrete.push((aid, pd, value));
-                }
-                Relation::tuple(&self.universe, &concrete)?
+            TExprKind::Literal(fields) => self.literal(fields, &node_schema)?,
+            TExprKind::Replace { operand, .. } => {
+                let r = self.eval(operand)?;
+                self.replace(e, r)?
             }
-            TExprKind::Replace {
-                operand,
-                projects,
-                renames,
-                copies,
-            } => {
-                let mut r = self.eval(operand)?;
-                if !projects.is_empty() {
-                    let attrs: Vec<AttrId> = projects.iter().map(|&a| self.attr_id(a)).collect();
-                    r = r.project_away(&attrs)?;
-                }
-                for &(f, t1, t2) in copies {
-                    // Copy into a free domain beside `f`'s (a scratch one
-                    // if none is free); the final conform moves everything
-                    // onto the assigned domains in one step.
-                    r = r.copy(self.attr_id(f), self.attr_id(t1), self.attr_id(t2), None)?;
-                }
-                if !renames.is_empty() {
-                    let pairs: Vec<(AttrId, AttrId)> = renames
-                        .iter()
-                        .map(|&(f, t)| (self.attr_id(f), self.attr_id(t)))
-                        .collect();
-                    r = r.rename_many(&pairs)?;
-                }
-                r
-            }
-            TExprKind::JoinLike {
-                left,
-                left_attrs,
-                right,
-                right_attrs,
-                is_join,
-            } => {
+            TExprKind::JoinLike { left, right, .. } => {
                 let l = self.eval(left)?;
                 let r = self.eval(right)?;
-                let a = &self.compiled.assignment;
-                // Targets: compared attrs onto the merged occurrence's
-                // domain, kept attrs onto this node's domains.
-                let merged_pd = |i: usize| -> Result<PhysDomId, ExecError> {
-                    if *is_join {
-                        let attr = left_attrs[i];
-                        let pd = a
-                            .expr_pd
-                            .get(&(e.id, attr))
-                            .ok_or_else(|| exec_err("missing join assignment"))?;
-                        Ok(self.physdom_id(*pd))
-                    } else {
-                        let pd = a
-                            .cmp_pd
-                            .get(&(e.id, i))
-                            .ok_or_else(|| exec_err("missing compose assignment"))?;
-                        Ok(self.physdom_id(*pd))
-                    }
-                };
-                let mut l_target = Vec::new();
-                for &attr in &left.schema {
-                    let aid = self.attr_id(attr);
-                    let pd = match left_attrs.iter().position(|&x| x == attr) {
-                        Some(i) => merged_pd(i)?,
-                        None => {
-                            let pd = a.expr_pd[&(e.id, attr)];
-                            self.physdom_id(pd)
-                        }
-                    };
-                    l_target.push((aid, pd));
-                }
-                let mut r_target = Vec::new();
-                for &attr in &right.schema {
-                    let aid = self.attr_id(attr);
-                    let pd = match right_attrs.iter().position(|&x| x == attr) {
-                        Some(i) => merged_pd(i)?,
-                        None => {
-                            let pd = a.expr_pd[&(e.id, attr)];
-                            self.physdom_id(pd)
-                        }
-                    };
-                    r_target.push((aid, pd));
-                }
-                let l = self.conform(l, &l_target)?;
-                let r = self.conform(r, &r_target)?;
-                let la: Vec<AttrId> = left_attrs.iter().map(|&x| self.attr_id(x)).collect();
-                let ra: Vec<AttrId> = right_attrs.iter().map(|&x| self.attr_id(x)).collect();
-                if *is_join {
-                    l.join(&la, &r, &ra)?
-                } else {
-                    l.compose(&la, &r, &ra)?
-                }
+                self.join_like(e, l, r)?
             }
             TExprKind::SetOp { op, left, right } => {
                 let l = self.eval(left)?;
                 let r = self.eval(right)?;
-                let l = self.conform(l, &node_schema)?;
-                let r = self.conform(r, &node_schema)?;
-                match op {
-                    SetOp::Union => l.union(&r)?,
-                    SetOp::Intersect => l.intersect(&r)?,
-                    SetOp::Minus => l.minus(&r)?,
-                }
+                self.set_op(e, *op, l, r)?
             }
         };
         self.conform(result, &node_schema)
+    }
+
+    fn literal(
+        &self,
+        fields: &[(TLiteralObj, AttrIdx, Option<PdIdx>)],
+        node_schema: &[(AttrId, PhysDomId)],
+    ) -> Result<Relation, ExecError> {
+        let mut concrete = Vec::new();
+        for (obj, attr, _) in fields {
+            let aid = self.attr_id(*attr);
+            let pd = node_schema
+                .iter()
+                .find(|&&(a, _)| a == aid)
+                .map(|&(_, p)| p)
+                .expect("literal attr in node schema");
+            let value = match obj {
+                TLiteralObj::Index(n) => *n,
+                TLiteralObj::Label(l) => {
+                    let d = self.universe.attribute_domain(aid);
+                    self.universe.element_index(d, l).ok_or_else(|| {
+                        exec_err(format!(
+                            "`{l}` is not an element of domain {}",
+                            self.universe.domain_name(d)
+                        ))
+                    })?
+                }
+            };
+            concrete.push((aid, pd, value));
+        }
+        Ok(Relation::tuple(&self.universe, &concrete)?)
+    }
+
+    /// Applies replace node `e`'s projections, copies and renames to its
+    /// evaluated operand.
+    fn replace(&mut self, e: &TExpr, mut r: Relation) -> Result<Relation, ExecError> {
+        let TExprKind::Replace {
+            projects,
+            renames,
+            copies,
+            ..
+        } = &e.kind
+        else {
+            unreachable!("replace node")
+        };
+        if !projects.is_empty() {
+            let attrs: Vec<AttrId> = projects.iter().map(|&a| self.attr_id(a)).collect();
+            r = r.project_away(&attrs)?;
+        }
+        for &(f, t1, t2) in copies {
+            // Copy into a free domain beside `f`'s (a scratch one if none
+            // is free); the final conform moves everything onto the
+            // assigned domains in one step.
+            r = r.copy(self.attr_id(f), self.attr_id(t1), self.attr_id(t2), None)?;
+        }
+        if !renames.is_empty() {
+            let pairs: Vec<(AttrId, AttrId)> = renames
+                .iter()
+                .map(|&(f, t)| (self.attr_id(f), self.attr_id(t)))
+                .collect();
+            r = r.rename_many(&pairs)?;
+        }
+        Ok(r)
+    }
+
+    /// Joins or composes the evaluated operands of node `e`.
+    fn join_like(&mut self, e: &TExpr, l: Relation, r: Relation) -> Result<Relation, ExecError> {
+        let TExprKind::JoinLike {
+            left,
+            left_attrs,
+            right,
+            right_attrs,
+            is_join,
+        } = &e.kind
+        else {
+            unreachable!("join-like node")
+        };
+        let a = &self.compiled.assignment;
+        // Targets: compared attrs onto the merged occurrence's domain,
+        // kept attrs onto this node's domains.
+        let merged_pd = |i: usize| -> Result<PhysDomId, ExecError> {
+            if *is_join {
+                let attr = left_attrs[i];
+                let pd = a
+                    .expr_pd
+                    .get(&(e.id, attr))
+                    .ok_or_else(|| exec_err("missing join assignment"))?;
+                Ok(self.physdom_id(*pd))
+            } else {
+                let pd = a
+                    .cmp_pd
+                    .get(&(e.id, i))
+                    .ok_or_else(|| exec_err("missing compose assignment"))?;
+                Ok(self.physdom_id(*pd))
+            }
+        };
+        let target = |operand: &TExpr, compared: &[AttrIdx]| {
+            operand
+                .schema
+                .iter()
+                .map(|&attr| {
+                    let pd = match compared.iter().position(|&x| x == attr) {
+                        Some(i) => merged_pd(i)?,
+                        None => self.physdom_id(a.expr_pd[&(e.id, attr)]),
+                    };
+                    Ok((self.attr_id(attr), pd))
+                })
+                .collect::<Result<Vec<_>, ExecError>>()
+        };
+        let l_target = target(left, left_attrs)?;
+        let r_target = target(right, right_attrs)?;
+        let l = self.conform(l, &l_target)?;
+        let r = self.conform(r, &r_target)?;
+        let la: Vec<AttrId> = left_attrs.iter().map(|&x| self.attr_id(x)).collect();
+        let ra: Vec<AttrId> = right_attrs.iter().map(|&x| self.attr_id(x)).collect();
+        Ok(if *is_join {
+            l.join(&la, &r, &ra)?
+        } else {
+            l.compose(&la, &r, &ra)?
+        })
+    }
+
+    /// Applies set operator `op` of node `e` to its evaluated operands.
+    fn set_op(
+        &mut self,
+        e: &TExpr,
+        op: SetOp,
+        l: Relation,
+        r: Relation,
+    ) -> Result<Relation, ExecError> {
+        let node_schema = self.node_schema(e)?;
+        let l = self.conform(l, &node_schema)?;
+        let r = self.conform(r, &node_schema)?;
+        Ok(match op {
+            SetOp::Union => l.union(&r)?,
+            SetOp::Intersect => l.intersect(&r)?,
+            SetOp::Minus => l.minus(&r)?,
+        })
     }
 }
 

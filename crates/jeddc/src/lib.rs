@@ -20,7 +20,9 @@
 //! * [`Executor`] — the runtime: universe construction with physical
 //!   domains sized to their widest assigned attribute, and rule
 //!   interpretation that inserts exactly the replace operations the
-//!   assignment dictates;
+//!   assignment dictates. Each statement keeps a memo of what it last
+//!   read and wrote, and re-runs on its inputs' deltas when that is
+//!   exact ([`delta`]);
 //! * [`emit_java_like`] — the generated-code view (documentation-quality
 //!   pseudo-Java with all low-level BDD operations spelled out).
 //!
@@ -54,6 +56,7 @@
 pub mod assignc;
 pub mod ast;
 pub mod check;
+pub mod delta;
 pub mod diag;
 mod emit;
 pub mod exec;
@@ -63,4 +66,7 @@ pub mod parse;
 
 pub use diag::{CompileError, Diagnostic, JeddcError, Pos, Severity};
 pub use emit::emit_java_like;
-pub use exec::{compile, compile_auto, compile_named, CompiledProgram, ExecError, Executor};
+pub use delta::{DeltaPlan, Fallback, StmtPlan};
+pub use exec::{
+    compile, compile_auto, compile_named, CompiledProgram, ExecError, Executor, RuleStats, StmtStats,
+};

@@ -6,9 +6,24 @@ use crate::ast::*;
 use crate::diag::{CompileError, Pos};
 use crate::lex::{lex_with_allows, Tok, Token};
 
+/// How deeply source may nest. Around any point there may be at most
+/// this many enclosing statement bodies, parentheses and casts; and no
+/// expression tree may be so high that its height plus the statement
+/// bodies around it exceeds this. Deeper input is rejected with a
+/// [`CompileError`] at the token that crosses the limit: the parser, the
+/// checker, the physical-domain assignment and the executor all recurse
+/// over statements and expressions, and past the limit they could
+/// overflow a thread's stack. At the limit, every pass fits in a 2 MiB
+/// stack even in an unoptimised build.
+pub const MAX_NESTING: usize = 100;
+
 struct Parser {
     toks: Vec<Token>,
     i: usize,
+    /// Enclosing statement bodies, parentheses and casts.
+    depth: usize,
+    /// Enclosing statement bodies.
+    bodies: usize,
 }
 
 /// Parses a mini-Jedd source file.
@@ -18,7 +33,12 @@ struct Parser {
 /// Returns the first lexical or syntactic error with its position.
 pub fn parse(src: &str) -> Result<Program, CompileError> {
     let (toks, allows) = lex_with_allows(src)?;
-    let mut p = Parser { toks, i: 0 };
+    let mut p = Parser {
+        toks,
+        i: 0,
+        depth: 0,
+        bodies: 0,
+    };
     let mut prog = p.program()?;
     prog.allows = allows;
     Ok(prog)
@@ -59,6 +79,49 @@ impl Parser {
             pos: self.pos(),
             message,
         }
+    }
+
+    /// Steps one level deeper into the source, failing past
+    /// [`MAX_NESTING`]. Every `enter` is paired with a [`Parser::leave`]
+    /// on the success path; an error abandons the whole parse.
+    fn enter(&mut self) -> Result<(), CompileError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok(())
+    }
+
+    fn leave(&mut self) {
+        self.depth -= 1;
+    }
+
+    /// Checks the height of an expression tree just built, counting the
+    /// statement bodies around it.
+    fn check_height(&self, height: usize) -> Result<(), CompileError> {
+        if self.bodies + height > MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok(())
+    }
+
+    fn too_deep(&self) -> CompileError {
+        self.error(format!("nesting deeper than {MAX_NESTING} levels"))
+    }
+
+    /// `{ stmt* }` — a nested statement body.
+    fn body(&mut self) -> Result<Vec<Stmt>, CompileError> {
+        self.enter()?;
+        self.bodies += 1;
+        self.expect(&Tok::LBrace)?;
+        let mut body = Vec::new();
+        while *self.peek() != Tok::RBrace {
+            body.push(self.stmt()?);
+        }
+        self.expect(&Tok::RBrace)?;
+        self.bodies -= 1;
+        self.leave();
+        Ok(body)
     }
 
     fn ident(&mut self) -> Result<String, CompileError> {
@@ -206,12 +269,7 @@ impl Parser {
             }
             Tok::Do => {
                 self.bump();
-                self.expect(&Tok::LBrace)?;
-                let mut body = Vec::new();
-                while *self.peek() != Tok::RBrace {
-                    body.push(self.stmt()?);
-                }
-                self.expect(&Tok::RBrace)?;
+                let body = self.body()?;
                 self.expect(&Tok::While)?;
                 self.expect(&Tok::LParen)?;
                 let cond = self.cond()?;
@@ -224,12 +282,7 @@ impl Parser {
                 self.expect(&Tok::LParen)?;
                 let cond = self.cond()?;
                 self.expect(&Tok::RParen)?;
-                self.expect(&Tok::LBrace)?;
-                let mut body = Vec::new();
-                while *self.peek() != Tok::RBrace {
-                    body.push(self.stmt()?);
-                }
-                self.expect(&Tok::RBrace)?;
+                let body = self.body()?;
                 Ok(Stmt::While { cond, body, pos })
             }
             Tok::If => {
@@ -237,21 +290,13 @@ impl Parser {
                 self.expect(&Tok::LParen)?;
                 let cond = self.cond()?;
                 self.expect(&Tok::RParen)?;
-                self.expect(&Tok::LBrace)?;
-                let mut then_body = Vec::new();
-                while *self.peek() != Tok::RBrace {
-                    then_body.push(self.stmt()?);
-                }
-                self.expect(&Tok::RBrace)?;
-                let mut else_body = Vec::new();
-                if *self.peek() == Tok::Else {
+                let then_body = self.body()?;
+                let else_body = if *self.peek() == Tok::Else {
                     self.bump();
-                    self.expect(&Tok::LBrace)?;
-                    while *self.peek() != Tok::RBrace {
-                        else_body.push(self.stmt()?);
-                    }
-                    self.expect(&Tok::RBrace)?;
-                }
+                    self.body()?
+                } else {
+                    Vec::new()
+                };
                 Ok(Stmt::If {
                     cond,
                     then_body,
@@ -307,12 +352,13 @@ impl Parser {
     }
 
     fn expr(&mut self) -> Result<Expr, CompileError> {
-        self.set_expr()
+        Ok(self.set_expr()?.0)
     }
 
-    /// `joinExpr (('|' | '&' | '-') joinExpr)*`
-    fn set_expr(&mut self) -> Result<Expr, CompileError> {
-        let mut left = self.join_expr()?;
+    /// `joinExpr (('|' | '&' | '-') joinExpr)*`. Like every expression
+    /// production below, returns the expression with its tree height.
+    fn set_expr(&mut self) -> Result<(Expr, usize), CompileError> {
+        let (mut left, mut height) = self.join_expr()?;
         loop {
             let op = match self.peek() {
                 Tok::Pipe => SetOp::Union,
@@ -322,7 +368,9 @@ impl Parser {
             };
             let pos = self.pos();
             self.bump();
-            let right = self.join_expr()?;
+            let (right, right_height) = self.join_expr()?;
+            height = height.max(right_height) + 1;
+            self.check_height(height)?;
             left = Expr::SetOp {
                 op,
                 left: Box::new(left),
@@ -330,13 +378,13 @@ impl Parser {
                 pos,
             };
         }
-        Ok(left)
+        Ok((left, height))
     }
 
     /// `unary (attrList ('><' | '<>') unary attrList)*` — left associative,
     /// matching the Fig. 5 `RelExprJoin` production.
-    fn join_expr(&mut self) -> Result<Expr, CompileError> {
-        let mut left = self.unary()?;
+    fn join_expr(&mut self) -> Result<(Expr, usize), CompileError> {
+        let (mut left, mut height) = self.unary()?;
         while *self.peek() == Tok::LBrace {
             let pos = self.pos();
             let left_attrs = self.attr_list()?;
@@ -350,8 +398,10 @@ impl Parser {
                 }
             };
             self.bump();
-            let right = self.unary()?;
+            let (right, right_height) = self.unary()?;
             let right_attrs = self.attr_list()?;
+            height = height.max(right_height) + 1;
+            self.check_height(height)?;
             left = Expr::JoinLike {
                 left: Box::new(left),
                 left_attrs,
@@ -361,7 +411,7 @@ impl Parser {
                 pos,
             };
         }
-        Ok(left)
+        Ok((left, height))
     }
 
     /// `{a, b}`
@@ -378,8 +428,9 @@ impl Parser {
 
     /// Replacement cast or primary. A `(` followed by `ident =>` starts a
     /// cast; otherwise it parenthesises an expression.
-    fn unary(&mut self) -> Result<Expr, CompileError> {
-        if *self.peek() == Tok::LParen
+    fn unary(&mut self) -> Result<(Expr, usize), CompileError> {
+        self.enter()?;
+        let parsed = if *self.peek() == Tok::LParen
             && matches!(self.peek_at(1), Tok::Ident(_))
             && *self.peek_at(2) == Tok::Arrow
         {
@@ -391,14 +442,19 @@ impl Parser {
                 replacements.push(self.replacement()?);
             }
             self.expect(&Tok::RParen)?;
-            let operand = self.unary()?;
-            return Ok(Expr::Replace {
+            let (operand, height) = self.unary()?;
+            let replace = Expr::Replace {
                 replacements,
                 operand: Box::new(operand),
                 pos,
-            });
-        }
-        self.primary()
+            };
+            (replace, height + 1)
+        } else {
+            self.primary()?
+        };
+        self.check_height(parsed.1)?;
+        self.leave();
+        Ok(parsed)
     }
 
     /// `a=>`, `a=>b` or `a=>b c`
@@ -419,20 +475,20 @@ impl Parser {
         }
     }
 
-    fn primary(&mut self) -> Result<Expr, CompileError> {
+    fn primary(&mut self) -> Result<(Expr, usize), CompileError> {
         let pos = self.pos();
         match self.peek().clone() {
             Tok::Ident(name) => {
                 self.bump();
-                Ok(Expr::Var { name, pos })
+                Ok((Expr::Var { name, pos }, 1))
             }
             Tok::ZeroB => {
                 self.bump();
-                Ok(Expr::Empty { pos })
+                Ok((Expr::Empty { pos }, 1))
             }
             Tok::OneB => {
                 self.bump();
-                Ok(Expr::Full { pos })
+                Ok((Expr::Full { pos }, 1))
             }
             Tok::New => {
                 self.bump();
@@ -470,13 +526,13 @@ impl Parser {
                     }
                 }
                 self.expect(&Tok::RBrace)?;
-                Ok(Expr::Literal { fields, pos })
+                Ok((Expr::Literal { fields, pos }, 1))
             }
             Tok::LParen => {
                 self.bump();
-                let e = self.expr()?;
+                let parsed = self.set_expr()?;
                 self.expect(&Tok::RParen)?;
-                Ok(e)
+                Ok(parsed)
             }
             other => Err(self.error(format!("expected an expression, found {other}"))),
         }
