@@ -6,7 +6,7 @@
 
 use crate::facts::Facts;
 use crate::vcr;
-use jedd_core::{ComposeJob, DeltaRel, Fixpoint, JeddError, Relation, Strategy};
+use jedd_core::{DeltaRel, Fixpoint, JeddError, Relation, Strategy};
 
 /// How receiver types are determined for call-graph construction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -338,25 +338,9 @@ pub(crate) fn pt_round(
     let mut changed = if edges.has_delta() || pt.has_delta() {
         let seed = inner.rule("seed", || {
             let combined = if edges.has_delta() && !pt_delta_is_all {
-                // The two delta terms read only last round's state, so
-                // they are independent: one kernel batch evaluates both
-                // relational products concurrently.
-                let parts = Relation::compose_batch(&[
-                    ComposeJob {
-                        left: edges.current(),
-                        left_attrs: &[f.src],
-                        right: pt.delta(),
-                        right_attrs: &[f.var],
-                    },
-                    ComposeJob {
-                        left: edges.delta(),
-                        left_attrs: &[f.src],
-                        right: pt.current(),
-                        right_attrs: &[f.var],
-                    },
-                ])?;
-                let [via_new_pt, via_new_edges]: [Relation; 2] =
-                    parts.try_into().expect("two jobs in, two results out");
+                // Both delta terms read only last round's state.
+                let via_new_pt = edges.current().compose(&[f.src], pt.delta(), &[f.var])?;
+                let via_new_edges = edges.delta().compose(&[f.src], pt.current(), &[f.var])?;
                 via_new_edges.union(&via_new_pt)?
             } else {
                 edges.current().compose(&[f.src], pt.delta(), &[f.var])?
@@ -414,38 +398,12 @@ pub(crate) fn pt_round(
                     .compose(&[f.src], pt.current(), &[f.var]);
             }
             // Two independent chains — Δ(base) then full src, and Δ(src)
-            // then full base. Each two-compose chain is sequential, but
-            // the chains only depend on last round's state, so each
-            // *stage* is one concurrent kernel batch across both chains.
-            let stage1 = Relation::compose_batch(&[
-                ComposeJob {
-                    left: &f.stores,
-                    left_attrs: &[f.base],
-                    right: &pt_base_new,
-                    right_attrs: &[f.var],
-                },
-                ComposeJob {
-                    left: &f.stores,
-                    left_attrs: &[f.src],
-                    right: &pt_new,
-                    right_attrs: &[f.var],
-                },
-            ])?;
-            let stage2 = Relation::compose_batch(&[
-                ComposeJob {
-                    left: &stage1[0],
-                    left_attrs: &[f.src],
-                    right: pt.current(),
-                    right_attrs: &[f.var],
-                },
-                ComposeJob {
-                    left: &stage1[1],
-                    left_attrs: &[f.base],
-                    right: &pt_base_full,
-                    right_attrs: &[f.var],
-                },
-            ])?;
-            stage2[0].union(&stage2[1])
+            // then full base — each a sequence of two composes.
+            let via_new_base = f.stores.compose(&[f.base], &pt_base_new, &[f.var])?;
+            let via_new_src = f.stores.compose(&[f.src], &pt_new, &[f.var])?;
+            let via_new_base = via_new_base.compose(&[f.src], pt.current(), &[f.var])?;
+            let via_new_src = via_new_src.compose(&[f.base], &pt_base_full, &[f.var])?;
+            via_new_base.union(&via_new_src)
         })?;
         field_pt.stage(&st)?;
     }
@@ -459,38 +417,21 @@ pub(crate) fn pt_round(
                     .compose(&[f.base], &pt_base_new, &[f.var])?
                     .compose(&[f.baseobj, f.field], field_pt.current(), &[f.baseobj, f.field])?
             } else {
-                // As with stores: two independent chains, batched one
-                // stage at a time so both relational products of a stage
-                // share the kernel.
-                let stage1 = Relation::compose_batch(&[
-                    ComposeJob {
-                        left: &f.loads,
-                        left_attrs: &[f.base],
-                        right: &pt_base_new,
-                        right_attrs: &[f.var],
-                    },
-                    ComposeJob {
-                        left: &f.loads,
-                        left_attrs: &[f.field],
-                        right: field_pt.delta(),
-                        right_attrs: &[f.field],
-                    },
-                ])?;
-                let stage2 = Relation::compose_batch(&[
-                    ComposeJob {
-                        left: &stage1[0],
-                        left_attrs: &[f.baseobj, f.field],
-                        right: field_pt.current(),
-                        right_attrs: &[f.baseobj, f.field],
-                    },
-                    ComposeJob {
-                        left: &stage1[1],
-                        left_attrs: &[f.base, f.baseobj],
-                        right: &pt_base_full,
-                        right_attrs: &[f.var, f.baseobj],
-                    },
-                ])?;
-                stage2[0].union(&stage2[1])?
+                // As with stores: two independent chains, Δ(base) and
+                // Δ(field_pt).
+                let via_new_base = f.loads.compose(&[f.base], &pt_base_new, &[f.var])?;
+                let via_new_field = f.loads.compose(&[f.field], field_pt.delta(), &[f.field])?;
+                let via_new_base = via_new_base.compose(
+                    &[f.baseobj, f.field],
+                    field_pt.current(),
+                    &[f.baseobj, f.field],
+                )?;
+                let via_new_field = via_new_field.compose(
+                    &[f.base, f.baseobj],
+                    &pt_base_full,
+                    &[f.var, f.baseobj],
+                )?;
+                via_new_base.union(&via_new_field)?
             };
             combined
                 .rename(f.dst, f.var)?

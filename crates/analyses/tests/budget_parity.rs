@@ -1,15 +1,13 @@
-//! Budget-trip parity between the sequential and parallel kernels: a
-//! given [`Budget`] must trip the *same typed error* at the *same
-//! configured limits* regardless of thread count. The degradation story
-//! (degradation.rs) relies on this — the driver's fallback decision
-//! inspects the error variant, so a kernel that reported `Deadline`
-//! where the sequential path reports `StepLimit` would degrade
-//! differently depending on `JEDD_THREADS`.
+//! Budget trips at analysis level: a starved [`Budget`] must stop the
+//! points-to analysis with the *typed error* of the limit that was hit,
+//! echoing the configured limit. The degradation story (degradation.rs)
+//! relies on this — the driver's fallback decision inspects the error
+//! variant, so a kernel that reported `Deadline` where the limit was
+//! `max_steps` would degrade wrongly.
 //!
-//! The *dynamic* fields of a trip (steps taken, live nodes seen) are
-//! allowed to differ — workers charge steps in flush-sized batches and
-//! the shared table's occupancy depends on scheduling — but the variant
-//! and the echoed limits must match the sequential run exactly.
+//! The generous-budget case lives in degradation.rs
+//! (`generous_budget_runs_on_bdds_and_matches`), which runs the whole
+//! driver under it.
 
 use jedd_analyses::facts::Facts;
 use jedd_analyses::pointsto::{self, CallGraphMode};
@@ -18,121 +16,52 @@ use jedd_bdd::{BddError, Budget, CancelToken};
 use jedd_core::{JeddError, Strategy};
 
 /// Runs the points-to analysis on the Tiny benchmark with `budget`
-/// installed and the parallel cutoff forced low, returning the outcome.
-fn run(threads: usize, budget: Budget) -> Result<(), JeddError> {
+/// installed, returning the outcome.
+fn run(budget: Budget) -> Result<(), JeddError> {
     let p = Benchmark::Tiny.generate();
     let facts = Facts::load(&p).expect("fact loading is unbudgeted");
-    let mgr = facts.u.bdd_manager();
-    mgr.set_threads(threads);
-    mgr.set_par_cutoff(2);
     facts.u.set_budget(budget);
     pointsto::analyze_with(&facts, CallGraphMode::OnTheFly, Strategy::SemiNaive).map(|_| ())
 }
 
-fn cause(r: Result<(), JeddError>) -> (&'static str, BddError) {
+fn cause(r: Result<(), JeddError>) -> BddError {
     match r {
-        Err(JeddError::ResourceExhausted { op, cause, .. }) => (op, cause),
+        Err(JeddError::ResourceExhausted { cause, .. }) => cause,
         Err(e) => panic!("expected ResourceExhausted, got {e}"),
         Ok(()) => panic!("a starved budget must trip"),
     }
 }
 
 #[test]
-fn step_limit_trips_identically_across_thread_counts() {
-    let (op1, cause1) = cause(run(1, Budget::unlimited().with_max_steps(10)));
-    let (op4, cause4) = cause(run(4, Budget::unlimited().with_max_steps(10)));
-    assert!(
-        matches!(cause1, BddError::StepLimit { limit: 10, .. }),
-        "sequential: {cause1}"
-    );
-    assert!(
-        matches!(cause4, BddError::StepLimit { limit: 10, .. }),
-        "parallel: {cause4}"
-    );
-    assert_eq!(op1, op4, "both kernels must trip in the same relational op");
+fn step_limit_trips_with_its_limit() {
+    let c = cause(run(Budget::unlimited().with_max_steps(10)));
+    assert!(matches!(c, BddError::StepLimit { limit: 10, .. }), "{c}");
 }
 
 #[test]
-fn node_limit_trips_identically_across_thread_counts() {
+fn node_limit_trips_with_its_limit() {
     // A limit below what the fact base already occupies cannot be
-    // recovered by the GC/reorder ladder on either path.
-    let (op1, cause1) = cause(run(1, Budget::unlimited().with_max_live_nodes(16)));
-    let (op4, cause4) = cause(run(4, Budget::unlimited().with_max_live_nodes(16)));
-    assert!(
-        matches!(cause1, BddError::NodeLimit { limit: 16, .. }),
-        "sequential: {cause1}"
-    );
-    assert!(
-        matches!(cause4, BddError::NodeLimit { limit: 16, .. }),
-        "parallel: {cause4}"
-    );
-    assert_eq!(op1, op4, "both kernels must trip in the same relational op");
+    // recovered by the GC/reorder ladder.
+    let c = cause(run(Budget::unlimited().with_max_live_nodes(16)));
+    assert!(matches!(c, BddError::NodeLimit { limit: 16, .. }), "{c}");
 }
 
 #[test]
-fn cancellation_trips_identically_across_thread_counts() {
-    for threads in [1, 4] {
-        let token = CancelToken::new();
-        token.cancel();
-        let budget = Budget::unlimited()
-            // Probe the token on every step, not every 1024th.
-            .with_max_steps(u64::MAX)
-            .with_cancel(token);
-        let (_, c) = cause(run(threads, budget));
-        assert_eq!(c, BddError::Cancelled, "threads={threads}");
-    }
+fn cancellation_trips_as_cancelled() {
+    let token = CancelToken::new();
+    token.cancel();
+    let budget = Budget::unlimited()
+        // Probe the token on every step, not every 1024th.
+        .with_max_steps(u64::MAX)
+        .with_cancel(token);
+    assert_eq!(cause(run(budget)), BddError::Cancelled);
 }
 
 #[test]
-fn expired_deadline_trips_identically_across_thread_counts() {
-    for threads in [1, 4] {
-        let budget = Budget::unlimited()
-            // Probe the clock on every step.
-            .with_max_steps(u64::MAX)
-            .with_timeout(std::time::Duration::ZERO);
-        let (_, c) = cause(run(threads, budget));
-        assert_eq!(c, BddError::Deadline, "threads={threads}");
-    }
-}
-
-#[test]
-fn generous_budget_succeeds_at_every_thread_count() {
-    for threads in [1, 4] {
-        let budget = Budget::unlimited()
-            .with_max_steps(100_000_000)
-            .with_max_live_nodes(10_000_000);
-        run(threads, budget).unwrap_or_else(|e| {
-            panic!("threads={threads}: a generous budget must not trip, got {e}")
-        });
-    }
-}
-
-/// `JEDD_SCHED` mode: the parallel step-limit trip replayed under the
-/// deterministic scheduler. `JEDD_SCHED=<seed>` selects the schedule
-/// stream (fixed default seed otherwise); the trip must keep its variant
-/// and echoed limit on every explored interleaving, and re-running the
-/// same configuration must reproduce the identical schedule fingerprints
-/// bit-for-bit.
-#[cfg(feature = "model")]
-#[test]
-fn budget_trip_parity_replays_bit_identically_under_jedd_sched() {
-    use jedd_sync::model::{check, Config};
-    let cfg = Config::from_env().unwrap_or_else(|| Config::random(7, 3));
-    let sweep = || {
-        check(cfg.clone(), || {
-            let (_, c) = cause(run(2, Budget::unlimited().with_max_steps(10)));
-            assert!(
-                matches!(c, BddError::StepLimit { limit: 10, .. }),
-                "scheduled parallel trip changed its type: {c}"
-            );
-        })
-    };
-    let first = sweep();
-    let second = sweep();
-    first.assert_clean();
-    assert_eq!(first.schedules, second.schedules, "schedule counts diverged");
-    assert_eq!(
-        first.fingerprints, second.fingerprints,
-        "same JEDD_SCHED seed must replay the same schedules bit-for-bit"
-    );
+fn expired_deadline_trips_as_deadline() {
+    let budget = Budget::unlimited()
+        // Probe the clock on every step.
+        .with_max_steps(u64::MAX)
+        .with_timeout(std::time::Duration::ZERO);
+    assert_eq!(cause(run(budget)), BddError::Deadline);
 }

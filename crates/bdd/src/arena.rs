@@ -5,18 +5,17 @@
 //! through the accessors here, so `mk`, the apply caches and GC keep
 //! operating on resident frames while cold blocks fault in
 //! transparently. The two modes share node ids (`id == arena index`, so
-//! `block == id / BLOCK_NODES`); at one thread a paged manager allocates
+//! `block == id / BLOCK_NODES`); a paged manager allocates
 //! in exactly the order a resident one does, which is what makes the
 //! paged-vs-resident differential rig able to demand *id*-identical
 //! results, stronger than the tuple contract.
 //!
 //! Resident mode keeps the seed data layout (a plain `Vec<Node>`) and
 //! costs one predictable branch per access. Paged mode holds the pager
-//! behind a `Mutex` so the `&self` read paths (`one_sat`, `satcount`,
+//! in a `RefCell` so the `&self` read paths (`one_sat`, `satcount`,
 //! enumeration, export, shape/support) can fault blocks in without any
-//! signature changes — `Inner` stays `Sync` for the parallel kernel's
-//! `thread::scope`, though paged managers keep the parallel path off by
-//! contract (mirroring chain mode).
+//! signature changes. The kernel is single-threaded, so interior
+//! mutability is all those paths need.
 //!
 //! Error discipline: fallible accessors (`try_*`) surface pager failures
 //! as typed `BddError::Page` values and park the full
@@ -29,17 +28,17 @@
 use crate::budget::BddError;
 use crate::node::Node;
 use crate::pager::{PageError, PageStats, Pager, PagerFaults};
+use std::cell::{RefCell, RefMut};
 use std::ops::{Index, IndexMut};
 use std::path::{Path, PathBuf};
-use jedd_sync::{Mutex, MutexGuard};
 
 pub(crate) struct Arena {
     /// Resident-mode storage. Empty (and unused) in paged mode.
     flat: Vec<Node>,
     /// Paged-mode storage. `None` in resident mode.
-    paged: Option<Mutex<Pager>>,
-    /// Shadow of the slot count, kept on this side of the mutex so `len`
-    /// never locks.
+    paged: Option<RefCell<Pager>>,
+    /// Shadow of the slot count, kept outside the cell so `len` never
+    /// borrows it.
     len: usize,
 }
 
@@ -69,7 +68,7 @@ impl Arena {
         for n in self.flat.drain(..) {
             pager.append(n)?;
         }
-        self.paged = Some(Mutex::new(pager));
+        self.paged = Some(RefCell::new(pager));
         Ok(())
     }
 
@@ -82,11 +81,10 @@ impl Arena {
         self.len
     }
 
-    /// Locks the pager, recovering from poison: the pager's state is
-    /// consistent after every call, so a panic elsewhere does not
-    /// invalidate it.
-    fn lock(&self) -> MutexGuard<'_, Pager> {
-        self.paged.as_ref().expect("arena is paged").lock()
+    /// Borrows the pager through a shared reference. No borrow outlives
+    /// the accessor that takes it, so two can never overlap.
+    fn pager(&self) -> RefMut<'_, Pager> {
+        self.paged.as_ref().expect("arena is paged").borrow_mut()
     }
 
     fn pager_mut(&mut self) -> &mut Pager {
@@ -109,7 +107,7 @@ impl Arena {
         match &self.paged {
             None => self.flat[id],
             Some(_) => {
-                let mut pager = self.lock();
+                let mut pager = self.pager();
                 match pager.node(id) {
                     Ok(n) => n,
                     Err(e) => {
@@ -122,8 +120,8 @@ impl Arena {
         }
     }
 
-    /// Reads node `id` through an exclusive borrow (no lock in paged
-    /// mode). Panics on a pager failure.
+    /// Reads node `id` through an exclusive borrow (no `RefCell` borrow
+    /// in paged mode). Panics on a pager failure.
     #[inline]
     pub(crate) fn read(&mut self, id: usize) -> Node {
         match self.try_read(id) {
@@ -183,8 +181,8 @@ impl Arena {
         Ok(id)
     }
 
-    /// Resident-only append for paths that are contractually never paged
-    /// (manager construction, the parallel commit).
+    /// Resident-only append for manager construction, which runs before
+    /// paging can be enabled.
     pub(crate) fn push_resident(&mut self, n: Node) -> u32 {
         assert!(self.paged.is_none(), "resident append on a paged arena");
         let id = self.flat.len() as u32;
@@ -236,26 +234,26 @@ impl Arena {
 
     /// Takes the parked pager error (clearing it), if any.
     pub(crate) fn take_page_error(&self) -> Option<PageError> {
-        self.paged.as_ref().and_then(|_| self.lock().take_sticky())
+        self.paged.as_ref().and_then(|_| self.pager().take_sticky())
     }
 
     /// Installs a pager crash-injection plan. No-op in resident mode.
     pub(crate) fn set_pager_faults(&self, faults: PagerFaults) {
         if self.paged.is_some() {
-            self.lock().set_faults(faults);
+            self.pager().set_faults(faults);
         }
     }
 
     /// Paging counters, when paged.
     pub(crate) fn page_stats(&self) -> Option<PageStats> {
-        self.paged.as_ref().map(|_| self.lock().stats())
+        self.paged.as_ref().map(|_| self.pager().stats())
     }
 
     /// The backing page file, when paged.
     pub(crate) fn page_file(&self) -> Option<PathBuf> {
         self.paged
             .as_ref()
-            .map(|_| self.lock().file_path().to_path_buf())
+            .map(|_| self.pager().file_path().to_path_buf())
     }
 
     /// Iterates the resident storage (reorder-only; paged managers keep
@@ -266,10 +264,10 @@ impl Arena {
     }
 }
 
-/// Direct slot access for the resident-only passes (reordering, the
-/// parallel commit). Paged managers never reach these: indexing an empty
-/// `flat` would panic, and the mode guards in `reorder.rs`/`par.rs`
-/// enforce the contract before any index lands.
+/// Direct slot access for the resident-only reordering pass. Paged
+/// managers never reach these: indexing an empty `flat` would panic, and
+/// the mode guard in `reorder.rs` enforces the contract before any index
+/// lands.
 impl Index<usize> for Arena {
     type Output = Node;
     #[inline]
@@ -282,67 +280,5 @@ impl IndexMut<usize> for Arena {
     #[inline]
     fn index_mut(&mut self, i: usize) -> &mut Node {
         &mut self.flat[i]
-    }
-}
-
-/// Model-checked pager contention: the `&self` read path locks the pager
-/// for every access, so two readers churning pin/fault/evict through a
-/// two-frame buffer pool is the whole protocol — swept deterministically
-/// here instead of hoping the OS scheduler collides them.
-#[cfg(all(test, feature = "model"))]
-mod model_tests {
-    use super::*;
-    use crate::node::Node;
-    use jedd_sync::model::{self, Config};
-
-    fn probe_node(i: u32) -> Node {
-        Node {
-            level: i % 7,
-            bot: i % 7,
-            low: i,
-            high: i.wrapping_add(1),
-            next: u32::MAX,
-            ext_refs: 0,
-            mark: false,
-        }
-    }
-
-    /// Two readers fault disjoint far-apart blocks through a two-frame
-    /// pager: every interleaving of pin, fault and evict must return the
-    /// exact node written, never deadlock on the arena mutex, and leave
-    /// the happens-before ledger race-free.
-    #[test]
-    fn pin_evict_contention_is_exhaustively_coherent() {
-        let report = model::check(Config::dfs(1), || {
-            let mut arena = Arena::with_capacity(4);
-            arena.push_resident(Node::terminal());
-            arena.push_resident(Node::terminal());
-            arena.enable_paging(2, None).expect("paging on");
-            // Four blocks of distinct nodes, so two frames must evict.
-            let total = crate::pager::BLOCK_NODES * 4;
-            for i in 2..total {
-                arena.try_append(probe_node(i as u32)).expect("append");
-            }
-            let arena = &arena;
-            jedd_sync::thread::scope(|s| {
-                for t in 0..2usize {
-                    s.spawn(move || {
-                        // Reader 0 walks blocks 0→3, reader 1 walks 3→0:
-                        // opposite sweeps maximise evictions of each
-                        // other's hot frame.
-                        for step in 0..4usize {
-                            let block = if t == 0 { step } else { 3 - step };
-                            let id = block * crate::pager::BLOCK_NODES
-                                + crate::pager::BLOCK_NODES / 2;
-                            let got = arena.get(id);
-                            assert_eq!(got.low, id as u32, "block {block} returned a foreign node");
-                        }
-                    });
-                }
-            });
-        });
-        report.assert_clean();
-        assert!(report.complete, "DFS must exhaust the pin/evict protocol");
-        assert!(report.schedules >= 2, "readers must interleave, got {}", report.schedules);
     }
 }

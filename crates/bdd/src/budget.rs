@@ -11,7 +11,7 @@
 //! injects failures so tests can exercise every error path.
 
 use std::fmt;
-use jedd_sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

@@ -45,7 +45,6 @@
 #![warn(missing_docs)]
 
 mod arena;
-pub mod batch;
 mod budget;
 mod count;
 pub mod crc32;
@@ -55,7 +54,6 @@ mod manager;
 mod node;
 mod ops;
 pub mod pager;
-mod par;
 mod permute;
 mod quant;
 mod reorder;
@@ -63,7 +61,6 @@ pub mod rng;
 mod table;
 mod zdd;
 
-pub use batch::{BatchTerm, BddBatch};
 pub use budget::{BddError, Budget, CancelToken, FailPlan, PermutationFlaw};
 pub use manager::{Bdd, BddManager, ExportedNode};
 pub use node::{NodeId, Permutation};

@@ -157,8 +157,7 @@ impl BddManager {
     /// Chain managers are *order-static*: [`BddManager::reorder_sift`] and
     /// [`BddManager::order_search`] degrade to a garbage collection.
     /// Install a learned order with [`BddManager::set_order`] before
-    /// building nodes instead. Parallel apply is also disabled — chain
-    /// managers always run the sequential kernel.
+    /// building nodes instead.
     pub fn new_chained(num_vars: usize) -> BddManager {
         let m = BddManager::new(num_vars);
         m.inner
@@ -185,9 +184,8 @@ impl BddManager {
     ///
     /// The determinism contract: a paged manager produces tuple-identical
     /// relations to a fully-resident one at any frame budget — in fact it
-    /// allocates node ids in exactly the resident sequential order, since
-    /// paged managers always run the sequential kernel (parallel apply is
-    /// disabled, like chain mode). Paged managers are also order-static:
+    /// allocates node ids in exactly the resident order. Paged managers
+    /// are also order-static:
     /// [`BddManager::reorder_sift`] and [`BddManager::order_search`]
     /// degrade to a garbage collection; install a learned order with
     /// [`BddManager::set_order`] before building nodes.
@@ -294,46 +292,6 @@ impl BddManager {
     /// Intended for tests of error paths.
     pub fn set_fail_plan(&self, plan: Option<FailPlan>) {
         self.inner.borrow_mut().set_fail_plan(plan);
-    }
-
-    /// Sets the requested worker-thread count of the parallel apply
-    /// engine. `1` (the default, or the `JEDD_THREADS` environment
-    /// variable) keeps every operation on the sequential path; `n >= 2`
-    /// routes large top-level operations (`and`/`or`/`diff`, `exists`,
-    /// `and_exists`, `replace`) and [`BddBatch`](crate::BddBatch) runs
-    /// through a pool of workers; `0` means "auto" — use the hardware
-    /// parallelism. The *effective* worker count is always clamped to
-    /// `std::thread::available_parallelism()` (oversubscribing adds
-    /// contention, never speed), and clamp events are recorded in
-    /// [`KernelStats::par_thread_clamps`].
-    ///
-    /// The determinism contract: results are identical *functions* (and
-    /// therefore identical relations/tuples) at every thread count.
-    /// Node *ids* are deterministic only at `threads = 1`; parallel runs
-    /// hand out fresh ids in shared-table insertion order, which depends
-    /// on scheduling (see `DESIGN.md` §9).
-    pub fn set_threads(&self, n: usize) {
-        self.inner.borrow_mut().set_par_threads(n);
-    }
-
-    /// The resolved worker-thread count (see [`BddManager::set_threads`]):
-    /// a request of `0` reads back as the hardware parallelism.
-    pub fn threads(&self) -> usize {
-        self.inner.borrow().par_threads()
-    }
-
-    /// Sets the parallel engagement cutoff: a top-level operation only
-    /// takes the parallel path once its operands hold at least this many
-    /// distinct nodes (default 8192, or `JEDD_PAR_CUTOFF`). Values are
-    /// clamped to >= 2. Mostly useful for tests that want to force the
-    /// parallel path on small inputs.
-    pub fn set_par_cutoff(&self, nodes: usize) {
-        self.inner.borrow_mut().set_par_cutoff(nodes);
-    }
-
-    /// The configured parallel engagement cutoff (node count).
-    pub fn par_cutoff(&self) -> usize {
-        self.inner.borrow().par_cutoff()
     }
 
     /// Number of variables currently allocated.

@@ -95,18 +95,10 @@ impl BinOp {
 }
 
 impl Inner {
-    /// Top-level entry for binary operations: offers non-terminal operand
-    /// pairs to the parallel apply engine (when `JEDD_THREADS` >= 2), whose
-    /// gate in [`Inner::par_run`] decides engagement, and runs everything
-    /// it declines through the sequential recursion.
+    /// Top-level entry for binary operations: records the operand shape
+    /// once, then runs the memoised recursion.
     pub(crate) fn apply(&mut self, op: BinOp, a: u32, b: u32) -> Result<u32, BddError> {
         self.record_op_shape(&[a, b]);
-        if self.par_enabled() && op.terminal_case(a, b).is_none() {
-            match self.par_run(crate::par::Job::Bin(op), a, b, self.num_vars())? {
-                crate::par::ParAttempt::Done(r) => return Ok(r),
-                crate::par::ParAttempt::Fallback => {}
-            }
-        }
         self.apply_rec(op, a, b)
     }
 

@@ -12,8 +12,8 @@
 //!
 //! ## Pin protocol
 //!
-//! Every kernel access copies nodes out of a frame while holding the
-//! pager lock, so no reference into a frame ever outlives a call —
+//! Every kernel access copies nodes out of a frame while it borrows the
+//! pager, so no reference into a frame ever outlives a call —
 //! eviction can therefore never invalidate an in-flight read. Pins exist
 //! at the *policy* level: a pinned frame is skipped by the clock hand, so
 //! frames that are in every recursion stay wired down. The kernel
@@ -45,7 +45,7 @@ use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use jedd_sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Why a pager operation failed. Unlike the kernel's `Copy` error type
 /// this carries the full context (paths, the underlying I/O error); the

@@ -62,22 +62,6 @@ impl Inner {
         self.record_op_shape(&[f]);
         self.validate_replace(f, perm)?;
         let pid = self.intern_permutation(perm);
-        if self.par_enabled() {
-            // Splitting must stay above every level a moved variable can
-            // come from or go to; above that boundary the permutation is
-            // the identity, so the combine at a split level is a plain
-            // `mk` at the unchanged level.
-            let limit = perm
-                .pairs()
-                .iter()
-                .map(|&(from, to)| self.level_of_var(from).min(self.level_of_var(to)))
-                .min()
-                .unwrap_or(0);
-            match self.par_run(crate::par::Job::Replace { perm, pid }, f, 0, limit)? {
-                crate::par::ParAttempt::Done(r) => return Ok(r),
-                crate::par::ParAttempt::Fallback => {}
-            }
-        }
         self.replace_rec(f, perm, pid)
     }
 

@@ -10,29 +10,10 @@ const F: u32 = NodeId::FALSE.0;
 const T: u32 = NodeId::TRUE.0;
 
 impl Inner {
-    /// Top-level entry for existential quantification: routes large
-    /// operands to the parallel apply engine, everything else to the
-    /// sequential recursion. The cube is pre-skipped above `f`'s top level
-    /// exactly as the sequential recursion would, so both paths share one
-    /// cache key; splitting stops above the first quantified level, which
-    /// keeps every master-phase combine a plain `mk`.
+    /// Top-level entry for existential quantification: records the
+    /// operand shape once, then runs the memoised recursion.
     pub(crate) fn exists(&mut self, f: u32, cube: u32) -> Result<u32, BddError> {
         self.record_op_shape(&[f]);
-        if self.par_enabled() && f > 1 && cube > 1 {
-            let lf = self.level(f);
-            let mut c = cube;
-            while c != T && self.level(c) < lf {
-                c = self.high(c);
-            }
-            if c == T {
-                return Ok(f);
-            }
-            let limit = self.level(c);
-            match self.par_run(crate::par::Job::Exists { cube: c }, f, 0, limit)? {
-                crate::par::ParAttempt::Done(r) => return Ok(r),
-                crate::par::ParAttempt::Fallback => {}
-            }
-        }
         self.exists_rec(f, cube)
     }
 
@@ -85,28 +66,10 @@ impl Inner {
         self.not(e)
     }
 
-    /// Top-level entry for the fused relational product: routes large
-    /// operand pairs to the parallel apply engine (same normalisation —
-    /// commutative swap and cube skip — as the sequential recursion, so
-    /// the cache keys coincide).
+    /// Top-level entry for the fused relational product: records the
+    /// operand shape once, then runs the memoised recursion.
     pub(crate) fn and_exists(&mut self, f: u32, g: u32, cube: u32) -> Result<u32, BddError> {
         self.record_op_shape(&[f, g]);
-        if self.par_enabled() && f > 1 && g > 1 && cube > 1 {
-            let m = self.level(f).min(self.level(g));
-            let mut c = cube;
-            while c != T && self.level(c) < m {
-                c = self.high(c);
-            }
-            if c == T {
-                return self.apply(BinOp::And, f, g);
-            }
-            let limit = self.level(c);
-            let (f2, g2) = if f > g { (g, f) } else { (f, g) };
-            match self.par_run(crate::par::Job::AndExists { cube: c }, f2, g2, limit)? {
-                crate::par::ParAttempt::Done(r) => return Ok(r),
-                crate::par::ParAttempt::Fallback => {}
-            }
-        }
         self.and_exists_rec(f, g, cube)
     }
 

@@ -109,29 +109,6 @@ pub struct KernelStats {
     pub cache_entries_swept: u64,
     /// Cache entries that survived a sweep (all referenced nodes live).
     pub cache_entries_kept: u64,
-    /// Top-level operations executed by the parallel apply engine
-    /// (`JEDD_THREADS` >= 2 and operands past the size cutoff).
-    pub par_ops: u64,
-    /// Subproblems (tasks) executed by parallel workers.
-    pub par_tasks: u64,
-    /// Tasks a parallel worker stole from another worker's deque.
-    pub par_steals: u64,
-    /// Nodes hash-consed directly into the shared concurrent unique table
-    /// by parallel workers (they are committed to the master arena at the
-    /// join; there is no scratch address space and no import replay).
-    pub par_shared_nodes: u64,
-    /// Operand nodes visited by the parallel engine's size probe. The
-    /// probe only runs once the split plan has at least two tasks, so
-    /// operations the engine could never split cost it nothing.
-    pub par_probe_nodes: u64,
-    /// Worker threads the most recent parallel operation actually ran
-    /// with, after clamping the configured count to the hardware
-    /// parallelism reported by `std::thread::available_parallelism()`.
-    pub par_threads_effective: u64,
-    /// Parallel operations whose configured thread count exceeded the
-    /// hardware parallelism and was clamped down (the oversubscription
-    /// footgun: more workers than CPUs only adds contention).
-    pub par_thread_clamps: u64,
     /// Chain nodes created (`bot > level`); always zero when chain
     /// reduction is off.
     pub chain_nodes_created: u64,
@@ -170,17 +147,6 @@ pub struct KernelStats {
     pub page_evictions: u64,
     /// High-water mark of simultaneously resident frames.
     pub page_max_resident: u64,
-    /// Schedules explored by `jedd-sync` model-check sessions in this
-    /// process (zero outside `--features model` runs; merged from the
-    /// shim's process-wide counters at observation time).
-    pub sched_schedules: u64,
-    /// Forced preemptions injected by the deterministic scheduler.
-    pub sched_preemptions: u64,
-    /// Data races reported by the vector-clock detector.
-    pub sched_races: u64,
-    /// Distinct lock-order edges (held-lock → acquired-lock, by
-    /// acquisition-site pair) observed by the lock-order graph.
-    pub sched_lock_edges: u64,
 }
 
 impl KernelStats {
@@ -253,56 +219,23 @@ pub(crate) struct Inner {
     alloc_count: u64,
     /// Cache inserts observed by the fail plan (since installation).
     cache_insert_count: u64,
-    /// Requested worker threads for the parallel apply engine; 1 =
-    /// sequential (the seed behaviour), 0 = auto (use every hardware
-    /// thread). Seeded from `JEDD_THREADS`. The *effective* worker count
-    /// is clamped to `cpus` (see [`Inner::par_workers`]).
-    par_threads: usize,
-    /// Hardware threads reported by `std::thread::available_parallelism`,
-    /// probed once at construction.
-    cpus: usize,
-    /// Minimum combined operand size (distinct nodes) before a top-level
-    /// operation takes the parallel path. Seeded from `JEDD_PAR_CUTOFF`.
-    par_cutoff: usize,
     /// Chain reduction (CBDD node semantics). Only settable on an arena
-    /// holding nothing but terminals; a chain-mode manager routes every
-    /// operation through the sequential kernel and treats its variable
-    /// order as static (reordering degrades to a collection).
+    /// holding nothing but terminals; a chain-mode manager treats its
+    /// variable order as static (reordering degrades to a collection).
     chain: bool,
     /// Disk-backed paging (see [`crate::pager`]). Like chain mode, only
     /// settable on an arena holding nothing but terminals; a paged manager
-    /// routes every operation through the sequential kernel and keeps its
-    /// variable order static. Cached outside the arena so the per-step
-    /// sticky-error probe costs one branch for resident managers.
+    /// keeps its variable order static. Cached outside the arena so the
+    /// per-step sticky-error probe costs one branch for resident managers.
     paged: bool,
 }
 
 const INITIAL_BUCKETS: usize = 1 << 12;
 const INITIAL_CACHE: usize = 1 << 14;
 const MAX_CACHE: usize = 1 << 22;
-/// Default parallel engagement cutoff: combined operand node count below
-/// which spawning workers and committing their nodes cost more than the
-/// split saves.
-pub(crate) const DEFAULT_PAR_CUTOFF: usize = 8192;
-
-/// Parses a positive integer from the environment; absent, empty or
-/// malformed values fall back to the caller's default.
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n| n > 0)
-}
-
-/// Parses a non-negative integer from the environment. Unlike
-/// [`env_usize`], `0` is a valid value — `JEDD_THREADS=0` means "auto"
-/// (use every hardware thread) rather than being silently ignored.
-fn env_usize_or_zero(name: &str) -> Option<usize> {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok())
-}
 
 #[inline]
-pub(crate) fn triple_hash(level: u32, low: u32, high: u32) -> u64 {
+fn triple_hash(level: u32, low: u32, high: u32) -> u64 {
     // Fibonacci-style mixing of the triple; cheap and well distributed.
     let mut h = (level as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     h ^= (low as u64).wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
@@ -315,7 +248,7 @@ pub(crate) fn triple_hash(level: u32, low: u32, high: u32) -> u64 {
 /// `bot == level`, so a chain-off manager hashes exactly as many distinct
 /// keys as before (ids are allocation-order and unaffected either way).
 #[inline]
-pub(crate) fn node_hash(level: u32, bot: u32, low: u32, high: u32) -> u64 {
+fn node_hash(level: u32, bot: u32, low: u32, high: u32) -> u64 {
     let mut h = ((level as u64) | ((bot as u64) << 32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     h ^= (low as u64).wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
     h ^= (high as u64).wrapping_mul(0x1656_67b1_9e37_79f9);
@@ -352,11 +285,6 @@ impl Inner {
             steps: 0,
             alloc_count: 0,
             cache_insert_count: 0,
-            par_threads: env_usize_or_zero("JEDD_THREADS").unwrap_or(1),
-            cpus: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            par_cutoff: env_usize("JEDD_PAR_CUTOFF").unwrap_or(DEFAULT_PAR_CUTOFF).max(2),
             chain: false,
             paged: false,
         }
@@ -461,8 +389,8 @@ impl Inner {
     }
 
     /// The kernel counters with the pager's counters merged in (they live
-    /// behind the pager lock, not in `stats`, so the merge happens at
-    /// observation time).
+    /// in the pager, not in `stats`, so the merge happens at observation
+    /// time).
     pub(crate) fn stats_snapshot(&self) -> KernelStats {
         let mut s = self.stats;
         if let Some(p) = self.nodes.page_stats() {
@@ -472,102 +400,7 @@ impl Inner {
             s.page_evictions = p.evictions;
             s.page_max_resident = p.max_resident;
         }
-        let sched = jedd_sync::counters();
-        s.sched_schedules = sched.schedules;
-        s.sched_preemptions = sched.preemptions;
-        s.sched_races = sched.races;
-        s.sched_lock_edges = sched.lock_edges;
         s
-    }
-
-    /// Resolved worker-thread count of the parallel apply engine: the
-    /// requested count, with `0` (auto) resolving to the hardware thread
-    /// count. `1` = sequential. This is the number that decides whether
-    /// the parallel engine is engaged at all; the number of workers
-    /// actually spawned is additionally clamped to the hardware (see
-    /// [`Inner::par_workers`]).
-    pub(crate) fn par_threads(&self) -> usize {
-        if self.par_threads == 0 {
-            self.cpus
-        } else {
-            self.par_threads
-        }
-    }
-
-    /// Sets the requested worker-thread count; `0` means auto.
-    pub(crate) fn set_par_threads(&mut self, n: usize) {
-        self.par_threads = n;
-    }
-
-    /// Effective worker count for a parallel operation: the resolved
-    /// thread count clamped to the hardware parallelism (oversubscribing
-    /// a machine only adds contention — the footgun behind the recorded
-    /// 0.65x "speedup" of the scratch-table engine).
-    pub(crate) fn par_workers(&self) -> usize {
-        if jedd_sync::model_active() {
-            // A model-check session serializes the workers itself, and
-            // its schedules need the requested worker count to actually
-            // materialize — even on a 1-CPU host, where the clamp would
-            // otherwise reduce every model test to a sequential run.
-            return self.par_threads().max(1);
-        }
-        self.par_threads().min(self.cpus).max(1)
-    }
-
-    /// Engagement cutoff of the parallel apply engine (combined operand
-    /// node count).
-    pub(crate) fn par_cutoff(&self) -> usize {
-        self.par_cutoff
-    }
-
-    pub(crate) fn set_par_cutoff(&mut self, nodes: usize) {
-        self.par_cutoff = nodes.max(2);
-    }
-
-    /// `true` while budget / fail-plan checks are live (not suspended).
-    pub(crate) fn checks_active(&self) -> bool {
-        self.checks_active
-    }
-
-    /// Recursion steps taken so far by the current top-level operation.
-    pub(crate) fn op_steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Adds worker-side recursion steps flushed back by a parallel
-    /// operation, so `max_steps` accounting stays per top-level op.
-    pub(crate) fn add_op_steps(&mut self, n: u64) {
-        self.steps += n;
-    }
-
-    /// Returns `true` once the union of the sub-DAGs under `roots` holds at
-    /// least `threshold` distinct internal nodes; stops walking early
-    /// either way, so the probe costs at most `threshold` node visits.
-    /// Deterministic for a given master table, which keeps the parallel
-    /// engagement decision independent of thread count. The visits are
-    /// counted in [`KernelStats::par_probe_nodes`].
-    pub(crate) fn probe_at_least(&mut self, roots: &[u32], threshold: usize) -> bool {
-        let mut seen = std::collections::HashSet::with_capacity(threshold.min(1 << 16));
-        let mut stack: Vec<u32> = roots.iter().copied().filter(|&r| r > 1).collect();
-        let mut found = false;
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id) {
-                continue;
-            }
-            if seen.len() >= threshold {
-                found = true;
-                break;
-            }
-            let n = self.nodes.get(id as usize);
-            if n.low > 1 {
-                stack.push(n.low);
-            }
-            if n.high > 1 {
-                stack.push(n.high);
-            }
-        }
-        self.stats.par_probe_nodes += seen.len() as u64;
-        found
     }
 
     /// Installs (or clears, with `Budget::unlimited()`) the resource budget.
@@ -928,67 +761,6 @@ impl Inner {
         self.stats.op_span_sum += span;
         self.stats.op_span_max = self.stats.op_span_max.max(span);
         self.stats.op_span_samples += 1;
-    }
-
-    /// Lock-free probe of the unique table for `(level, low, high)`,
-    /// used by parallel workers against the *frozen* master arena (no
-    /// mutation happens while workers run, so the immutable chain walk is
-    /// safe to share). Touches no counters — workers keep their own hit
-    /// statistics and merge them after the join.
-    pub(crate) fn lookup_frozen(&self, level: u32, low: u32, high: u32) -> Option<u32> {
-        // The parallel engine never runs on a chain-mode manager, so the
-        // probe is always for a plain `bot == level` node.
-        let h = node_hash(level, level, low, high) as usize & self.bucket_mask;
-        let mut cur = self.buckets[h];
-        while cur != NIL {
-            let n = &self.nodes[cur as usize];
-            if n.level == level && n.low == low && n.high == high {
-                return Some(cur);
-            }
-            cur = n.next;
-        }
-        None
-    }
-
-    /// Commits the node block minted by a parallel operation: appends the
-    /// triples to the arena in id order and chains each into its unique
-    /// table bucket. The ids the workers handed out were `base + i` in
-    /// reservation order, so the arena length must equal `base` on entry
-    /// — the commit is what makes those ids real. No duplicate search is
-    /// needed: workers dedup against both the frozen master table and
-    /// each other before reserving an id, so every committed triple is
-    /// distinct from everything already in the table.
-    pub(crate) fn commit_par_nodes(
-        &mut self,
-        base: u32,
-        triples: impl Iterator<Item = (u32, u32, u32)>,
-    ) -> u64 {
-        debug_assert_eq!(
-            self.nodes.len() as u32,
-            base,
-            "parallel commit: arena moved under a running operation"
-        );
-        let mut count = 0u64;
-        for (level, low, high) in triples {
-            let h = node_hash(level, level, low, high) as usize & self.bucket_mask;
-            let next = self.buckets[h];
-            let id = self.nodes.push_resident(Node {
-                level,
-                bot: level,
-                low,
-                high,
-                next,
-                ext_refs: 0,
-                mark: false,
-            });
-            self.buckets[h] = id;
-            count += 1;
-        }
-        self.stats.nodes_created += count;
-        if !self.in_swap {
-            self.maybe_grow_buckets();
-        }
-        count
     }
 
     /// Grows the unique table if the load factor exceeds 1.5 nodes per

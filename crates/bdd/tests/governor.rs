@@ -120,6 +120,30 @@ fn cancellation_is_observed() {
     assert_eq!(f.try_and(&g).unwrap().satcount(), r_count);
 }
 
+/// `CancelToken` is the kernel's one cross-thread surface: a watchdog on
+/// another thread cancels an operation running on the kernel's thread.
+#[test]
+fn cancel_token_crosses_threads() {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<CancelToken>();
+    assert_send_sync::<Budget>();
+    assert_send_sync::<BddError>();
+
+    let mgr = BddManager::new(24);
+    let (f, g) = equality_chain(&mgr);
+    let token = CancelToken::new();
+    mgr.set_budget(Budget::unlimited().with_cancel(token.clone()));
+    let watchdog = token.clone();
+    std::thread::spawn(move || watchdog.cancel())
+        .join()
+        .unwrap();
+    assert!(token.is_cancelled());
+    match f.try_and(&g) {
+        Err(BddError::Cancelled) => {}
+        other => panic!("expected Cancelled, got {other:?}"),
+    }
+}
+
 #[test]
 fn cache_entries_with_live_nodes_survive_gc() {
     let mgr = BddManager::new(24);

@@ -249,7 +249,6 @@ fn build_set(m: &BddManager, bits: &[u32], values: &[u64]) -> Bdd {
 
 /// Runs the same operation mix on one manager and returns the results.
 fn workload(m: &BddManager, gc: bool) -> Vec<Bdd> {
-    m.set_threads(1);
     let bits: Vec<u32> = (0..NVARS as u32).collect();
     let mut rng = XorShift64Star::new(0x9a6e);
     let a = build_set(m, &bits, &random_values(&mut rng, 120));
@@ -296,8 +295,8 @@ fn paged_managers_match_resident_at_any_cache_size() {
                 e.sat_assignments(&bits),
                 "frames {frames}: tuples diverged"
             );
-            // Stronger than the tuple contract: at one thread a paged
-            // manager allocates in the identical order, so node ids match.
+            // Stronger than the tuple contract: a paged manager
+            // allocates in the identical order, so node ids match.
             assert_eq!(g.root_id(), e.root_id(), "frames {frames}: ids diverged");
             assert_eq!(g.node_count(), e.node_count(), "frames {frames}");
         }

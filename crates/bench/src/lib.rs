@@ -50,39 +50,6 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (r, start.elapsed().as_secs_f64())
 }
 
-/// The speedup-gate decision for parallelism benches: one shared CPU
-/// probe instead of each bench (and `ci.sh`) sniffing `nproc` and env
-/// variables on its own.
-#[derive(Debug, Clone)]
-pub struct GateProbe {
-    /// Hardware threads the probe saw.
-    pub cpus: usize,
-    /// Whether the speedup assertion is armed.
-    pub armed: bool,
-    /// Why — recorded in the JSON report so a disarmed gate is visible.
-    pub reason: String,
-}
-
-/// Probes the machine and the `JEDD_BENCH_GATE` override ("1" forces the
-/// gate on, "0" forces it off, unset decides by CPU count): a wall-clock
-/// speedup assertion only means something with >= 4 real CPUs.
-pub fn speedup_gate() -> GateProbe {
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let (armed, reason) = match std::env::var("JEDD_BENCH_GATE").as_deref() {
-        Ok("1") => (true, "forced on by JEDD_BENCH_GATE=1".to_string()),
-        Ok("0") => (false, "forced off by JEDD_BENCH_GATE=0".to_string()),
-        _ if cpus >= 4 => (true, format!("{cpus} CPUs available")),
-        _ => (false, format!("only {cpus} CPU(s) available, need 4")),
-    };
-    GateProbe {
-        cpus,
-        armed,
-        reason,
-    }
-}
-
 /// The Table 1 rows: compiles each analysis module (and the combined
 /// program) and collects its assignment-problem statistics.
 pub fn table1_rows() -> Vec<(String, jedd_core::assign::AssignmentStats)> {

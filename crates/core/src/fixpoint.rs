@@ -19,7 +19,6 @@
 //! delta sizes and per-rule timings to the installed profiler.
 
 use crate::error::JeddError;
-use crate::ops::ComposeJob;
 use crate::relation::Relation;
 use crate::universe::Universe;
 use std::time::Instant;
@@ -319,48 +318,6 @@ impl Fixpoint {
         Ok(result)
     }
 
-    /// Applies several *independent* compose-shaped delta rules in one
-    /// kernel batch. Semi-naive rounds are full of these: the bilinear
-    /// rules split into `Δa <> b_full` and `a_full <> Δb` terms that read
-    /// only the previous round's state, so nothing orders them. With the
-    /// parallel engine engaged ([`jedd_bdd::BddManager::set_threads`] of
-    /// 2 or more) the whole group runs concurrently on the shared-table kernel
-    /// through [`Relation::compose_batch`]; at `threads = 1` it is
-    /// exactly a loop of [`Fixpoint::rule`] + [`Relation::compose`]
-    /// calls.
-    ///
-    /// Returns the results in rule order and emits one `fixpoint-rule`
-    /// profiler event per rule (the jointly-measured batch time is split
-    /// evenly), so profiles keep per-rule attribution.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first error any job's [`Relation::compose`] would
-    /// report.
-    pub fn compose_rules(
-        &self,
-        rules: &[(&str, ComposeJob<'_>)],
-    ) -> Result<Vec<Relation>, JeddError> {
-        let jobs: Vec<ComposeJob<'_>> = rules.iter().map(|&(_, j)| j).collect();
-        if !self.universe.profiler_enabled() {
-            return Relation::compose_batch(&jobs);
-        }
-        let start = Instant::now();
-        let results = Relation::compose_batch(&jobs)?;
-        let share = start.elapsed().as_nanos() as u64 / rules.len().max(1) as u64;
-        for ((name, _), r) in rules.iter().zip(results.iter()) {
-            self.universe.profile(crate::profile::OpEvent {
-                op: "fixpoint-rule",
-                site: format!("{}: {}", self.name, name),
-                nanos: share,
-                operand_nodes: 0,
-                result_nodes: r.node_count(),
-                shape: None,
-            });
-        }
-        Ok(results)
-    }
-
     /// Ends a round: emits the round timing and each relation's delta size
     /// to the profiler, then reports whether any frontier is still
     /// non-empty (i.e. whether another round is needed).
@@ -477,52 +434,6 @@ mod tests {
         let (got, rounds) = closure(&s, &e);
         assert_eq!(got.size(), 3); // (0,1) (1,2) (0,2)
         assert!(rounds >= 2, "needs at least a derive and a confirm round");
-    }
-
-    #[test]
-    fn compose_rules_matches_sequential_composition() {
-        // The grouped form must agree with looped composes at every
-        // thread count (functions, not ids, above threads = 1).
-        for threads in [1, 4] {
-            let s = setup();
-            let mgr = s.u.bdd_manager();
-            mgr.set_threads(threads);
-            mgr.set_par_cutoff(2);
-            let e1 = edges(&s, &[(0, 1), (1, 2), (2, 3)]);
-            let e2 = edges(&s, &[(1, 5), (2, 6), (3, 7)]);
-            let fp = Fixpoint::new(&s.u, "group");
-            let got = fp
-                .compose_rules(&[
-                    (
-                        "forward",
-                        ComposeJob {
-                            left: &e1,
-                            left_attrs: &[s.y],
-                            right: &e2,
-                            right_attrs: &[s.x],
-                        },
-                    ),
-                    (
-                        "backward",
-                        ComposeJob {
-                            left: &e2,
-                            left_attrs: &[s.y],
-                            right: &e1,
-                            right_attrs: &[s.x],
-                        },
-                    ),
-                ])
-                .unwrap();
-            let want = [
-                e1.compose(&[s.y], &e2, &[s.x]).unwrap(),
-                e2.compose(&[s.y], &e1, &[s.x]).unwrap(),
-            ];
-            assert_eq!(got.len(), 2);
-            for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
-                assert!(g.equals(w).unwrap(), "rule {i} diverged at {threads} threads");
-                assert_eq!(g.size(), w.size());
-            }
-        }
     }
 
     #[test]

@@ -58,7 +58,6 @@ pub use iter::{Objects, Tuples};
 // Budget/error vocabulary of the kernel, re-exported so budget-aware
 // callers need not depend on `jedd-bdd` directly.
 pub use jedd_bdd::{BddError, Budget, CancelToken, FailPlan, KernelStats};
-pub use ops::ComposeJob;
 pub use profile::{OpEvent, ProfileSink};
 pub use relation::Relation;
 pub use universe::{AttrId, Backend, DomainId, PhysDomId, Universe, UniverseStats};

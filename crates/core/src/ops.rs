@@ -5,22 +5,6 @@ use crate::error::JeddError;
 use crate::relation::Relation;
 use crate::universe::{AttrId, PhysDomId, Universe};
 use jedd_bdd::{Bdd, BddError, Permutation};
-use std::time::Instant;
-
-/// One `left{left_attrs} <> right{right_attrs}` composition inside a
-/// [`Relation::compose_batch`] call. Each job is validated and evaluated
-/// exactly like the corresponding [`Relation::compose`].
-#[derive(Clone, Copy)]
-pub struct ComposeJob<'a> {
-    /// Left operand.
-    pub left: &'a Relation,
-    /// Compared attributes of the left operand (projected away).
-    pub left_attrs: &'a [AttrId],
-    /// Right operand.
-    pub right: &'a Relation,
-    /// Compared attributes of the right operand (projected away).
-    pub right_attrs: &'a [AttrId],
-}
 
 /// Moves attribute values between physical domains in one simultaneous
 /// step: quantifies surplus source high bits, permutes the common low
@@ -511,118 +495,6 @@ impl Relation {
             schema,
             bdd,
         })
-    }
-
-    /// Evaluates several independent compositions together. Results match
-    /// [`Relation::compose`] job for job (same tuples, same schemas, same
-    /// typed errors); what changes is the execution: with the parallel
-    /// engine engaged ([`jedd_bdd::BddManager::set_threads`] >= 2) the
-    /// fused relational products of all jobs are lowered into one
-    /// [`jedd_bdd::BddBatch`] and run concurrently on the shared-table
-    /// kernel, so the independent delta rules of a fixpoint round can
-    /// occupy every worker even when no single product is large enough to
-    /// split profitably.
-    ///
-    /// Validation and physical-domain alignment stay sequential — they
-    /// are schema-driven and cheap next to the products — so the first
-    /// job with a malformed schema reports its error before any BDD work
-    /// is batched.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error any job would report from
-    /// [`Relation::compose`]: missing/duplicate attributes, mismatched
-    /// domains, overlapping result schemas, universe mismatches between
-    /// any pair of operands, or [`JeddError::ResourceExhausted`] when the
-    /// kernel budget trips after the recovery ladder.
-    pub fn compose_batch(jobs: &[ComposeJob<'_>]) -> Result<Vec<Relation>, JeddError> {
-        let Some(first) = jobs.first() else {
-            return Ok(Vec::new());
-        };
-        let universe = first.left.universe.clone();
-        for j in jobs {
-            if !universe.same_universe(&j.left.universe)
-                || !universe.same_universe(&j.right.universe)
-            {
-                return Err(JeddError::UniverseMismatch);
-            }
-        }
-        let mgr = universe.bdd_manager();
-        if mgr.threads() < 2 || jobs.len() < 2 {
-            // Sequential composition is bit-identical to hand-written
-            // loops (including node ids), so single jobs and threads = 1
-            // take the ordinary path.
-            return jobs
-                .iter()
-                .map(|j| j.left.compose(j.left_attrs, j.right, j.right_attrs))
-                .collect();
-        }
-        let mut schemas: Vec<Vec<(AttrId, PhysDomId)>> = Vec::with_capacity(jobs.len());
-        let mut operand_nodes: Vec<usize> = Vec::with_capacity(jobs.len());
-        let mut batch = mgr.batch();
-        let mut roots = Vec::with_capacity(jobs.len());
-        for j in jobs {
-            let o = j
-                .left
-                .align_for_combine(j.left_attrs, j.right, j.right_attrs, "compose", false)?;
-            let mut cube_bits: Vec<u32> = Vec::new();
-            for &a in j.left_attrs {
-                cube_bits.extend(
-                    universe.physdom_bits(j.left.physdom_of(a).expect("validated")),
-                );
-            }
-            let cube = mgr
-                .try_cube(&cube_bits)
-                .map_err(|e| universe.resource_exhausted("compose", e))?;
-            let tf = batch.leaf(&j.left.bdd);
-            let tg = batch.leaf(&o.bdd);
-            roots.push(batch.and_exists(tf, tg, &cube));
-            operand_nodes.push(j.left.bdd.node_count().max(o.bdd.node_count()));
-            let mut schema: Vec<(AttrId, PhysDomId)> = j
-                .left
-                .schema
-                .iter()
-                .copied()
-                .filter(|&(a, _)| !j.left_attrs.contains(&a))
-                .collect();
-            for &(a, p) in o.schema.iter() {
-                if !j.right_attrs.contains(&a) {
-                    schema.push((a, p));
-                }
-            }
-            schema.sort_by_key(|&(a, _)| a);
-            schemas.push(schema);
-            universe.count_op();
-        }
-        let start = Instant::now();
-        let results = batch
-            .try_run(&roots)
-            .map_err(|e| universe.resource_exhausted("compose", e))?;
-        if universe.profiler_enabled() {
-            // Per-job attribution of a jointly-measured run: split the
-            // batch's wall time evenly so aggregate timings stay honest.
-            let share = start.elapsed().as_nanos() as u64 / jobs.len() as u64;
-            let wants_shapes = universe.profiler_wants_shapes();
-            for (bdd, &nodes) in results.iter().zip(operand_nodes.iter()) {
-                universe.profile(crate::profile::OpEvent {
-                    op: "compose",
-                    site: universe.current_site(),
-                    nanos: share,
-                    operand_nodes: nodes,
-                    result_nodes: bdd.node_count(),
-                    shape: if wants_shapes { Some(bdd.shape()) } else { None },
-                });
-            }
-        }
-        Ok(results
-            .into_iter()
-            .zip(schemas)
-            .map(|(bdd, schema)| Relation {
-                universe: universe.clone(),
-                schema,
-                bdd,
-            })
-            .collect())
     }
 
     /// Selection: the subset of tuples whose attribute `attr` holds the

@@ -347,6 +347,12 @@ impl Checker {
                         self.report(*pos, format!("duplicate domain `{name}`"));
                         continue;
                     }
+                    if *spec == DomainSpec::Fixed(0) {
+                        self.report(
+                            *pos,
+                            format!("domain `{name}` must contain at least one object"),
+                        );
+                    }
                     self.prog.domains.push(DomainDef {
                         name: name.clone(),
                         spec: spec.clone(),

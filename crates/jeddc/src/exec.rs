@@ -277,14 +277,10 @@ impl Executor {
     ///
     /// # Errors
     ///
-    /// Returns an error for unknown domains or after preparation.
+    /// Returns an error for unknown domains, a size of zero, or after
+    /// preparation.
     pub fn bind_domain_size(&mut self, name: &str, size: u64) -> Result<(), ExecError> {
-        if self.prepared {
-            return Err(exec_err("cannot bind domains after preparation"));
-        }
-        let Some(i) = self.compiled.typed.domain_idx(name) else {
-            return Err(exec_err(format!("unknown domain `{name}`")));
-        };
+        let i = self.deferred_domain(name, size)?;
         self.domain_sizes[i as usize] = Some(size);
         Ok(())
     }
@@ -293,18 +289,31 @@ impl Executor {
     ///
     /// # Errors
     ///
-    /// Returns an error for unknown domains or after preparation.
+    /// Returns an error for unknown domains, an empty label list, or
+    /// after preparation.
     pub fn bind_domain_elements(&mut self, name: &str, labels: &[&str]) -> Result<(), ExecError> {
+        let i = self.deferred_domain(name, labels.len() as u64)?;
+        self.domain_sizes[i as usize] = Some(labels.len() as u64);
+        self.domain_elements[i as usize] =
+            Some(labels.iter().map(|s| s.to_string()).collect());
+        Ok(())
+    }
+
+    /// Resolves the domain a `bind_domain_*` call names, rejecting a
+    /// binding after preparation and an empty domain.
+    fn deferred_domain(&self, name: &str, size: u64) -> Result<u32, ExecError> {
         if self.prepared {
             return Err(exec_err("cannot bind domains after preparation"));
         }
         let Some(i) = self.compiled.typed.domain_idx(name) else {
             return Err(exec_err(format!("unknown domain `{name}`")));
         };
-        self.domain_sizes[i as usize] = Some(labels.len() as u64);
-        self.domain_elements[i as usize] =
-            Some(labels.iter().map(|s| s.to_string()).collect());
-        Ok(())
+        if size == 0 {
+            return Err(exec_err(format!(
+                "domain `{name}` must contain at least one object"
+            )));
+        }
+        Ok(i)
     }
 
     /// Builds the universe: registers domains and attributes, computes the

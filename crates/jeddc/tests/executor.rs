@@ -48,6 +48,21 @@ fn unknown_names_reported() {
 }
 
 #[test]
+fn empty_domain_bindings_are_errors() {
+    let mut e = exec();
+    let err = e.bind_domain_size("N", 0).unwrap_err();
+    assert!(err.to_string().contains("at least one object"), "{err}");
+    let err = e.bind_domain_elements("N", &[]).unwrap_err();
+    assert!(err.to_string().contains("at least one object"), "{err}");
+    // Neither failed call bound the domain, and a valid binding still
+    // works afterwards.
+    let err = e.run("clear").unwrap_err();
+    assert!(err.to_string().contains("has no size"), "{err}");
+    e.bind_domain_size("N", 4).unwrap();
+    e.run("clear").unwrap();
+}
+
+#[test]
 fn out_of_range_input_rejected() {
     let mut e = exec();
     e.bind_domain_size("N", 4).unwrap();

@@ -320,3 +320,21 @@ fn bad_local_schema_does_not_cascade() {
     assert_eq!(errs.len(), 1, "{errs:?}");
     assert!(errs[0].message.contains("unknown attribute `zz`"), "{errs:?}");
 }
+
+// --- domain declarations ---------------------------------------------
+
+#[test]
+fn zero_size_domain_is_rejected_at_its_declaration() {
+    // An empty domain used to compile and then panic in the executor
+    // when the universe registered it.
+    let src = "domain T 2;\ndomain D 0;\nattribute d : D;\nphysdom P1;\nrelation <d:P1> r;";
+    let prog = jeddc::parse::parse(src).unwrap();
+    let errs = jeddc::check::check_all(&prog).unwrap_err();
+    assert_eq!(errs.len(), 1, "{errs:?}");
+    assert!(
+        errs[0].message.contains("domain `D` must contain at least one object"),
+        "{errs:?}"
+    );
+    assert_eq!((errs[0].pos.line, errs[0].pos.col), (2, 1));
+    assert!(matches!(compile(src), Err(JeddcError::Compile(_))));
+}

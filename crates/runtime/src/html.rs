@@ -260,24 +260,6 @@ fn kernel_section(k: &KernelStats) -> String {
     );
     let _ = writeln!(
         out,
-        "<h3>Parallelism</h3>\
-         <p>{} parallel operations ({} tasks, {:.1} per op), \
-         {} work-steals, {} nodes hash-consed into the shared table, \
-         {} effective threads ({} clamped to hardware).</p>",
-        k.par_ops,
-        k.par_tasks,
-        if k.par_ops == 0 {
-            0.0
-        } else {
-            k.par_tasks as f64 / k.par_ops as f64
-        },
-        k.par_steals,
-        k.par_shared_nodes,
-        k.par_threads_effective,
-        k.par_thread_clamps
-    );
-    let _ = writeln!(
-        out,
         "<h3>Paging</h3>\
          <p>{} page faults ({} block reads), {} evictions \
          ({} block writes), peak {} resident frames.</p>",
@@ -286,16 +268,6 @@ fn kernel_section(k: &KernelStats) -> String {
         k.page_evictions,
         k.page_writes,
         k.page_max_resident
-    );
-    let _ = writeln!(
-        out,
-        "<h3>Scheduling</h3>\
-         <p>{} model schedules explored ({} preemptions), \
-         {} data races reported, {} lock-order edges observed.</p>",
-        k.sched_schedules,
-        k.sched_preemptions,
-        k.sched_races,
-        k.sched_lock_edges
     );
     let avg_chain = if k.chain_nodes_created == 0 {
         0.0
@@ -437,31 +409,11 @@ mod tests {
         assert!(html.contains("Kernel statistics"));
         assert!(html.contains("<td class=l>and</td>"));
         assert!(html.contains("cache sweeps"));
-        // The parallelism row is always present, zeroed on sequential runs.
-        assert!(html.contains("Parallelism"));
-        assert!(html.contains("0 parallel operations"));
-        // Plain render stays kernel-free.
-        assert!(!render_html(&p).contains("Kernel statistics"));
-    }
-
-    #[test]
-    fn kernel_section_reports_parallel_counters() {
-        let stats = KernelStats {
-            par_ops: 3,
-            par_tasks: 24,
-            par_steals: 5,
-            par_shared_nodes: 100,
-            par_threads_effective: 4,
-            par_thread_clamps: 1,
-            ..Default::default()
-        };
-        let html = render_html_with_kernel(&Profiler::new(), Some(&stats));
-        assert!(html.contains("3 parallel operations (24 tasks, 8.0 per op)"));
-        assert!(html.contains("5 work-steals, 100 nodes hash-consed into the shared table"));
-        assert!(html.contains("4 effective threads (1 clamped to hardware)"));
-        // The shapes row is always present, zeroed on plain sequential runs.
+        // The shapes row is always present, zeroed on plain runs.
         assert!(html.contains("Node shapes"));
         assert!(html.contains("0 chain nodes created"));
+        // Plain render stays kernel-free.
+        assert!(!render_html(&p).contains("Kernel statistics"));
     }
 
     #[test]
@@ -482,24 +434,6 @@ mod tests {
         // The paging row is always present, zeroed on resident runs.
         let resident = render_html_with_kernel(&Profiler::new(), Some(&KernelStats::default()));
         assert!(resident.contains("0 page faults"));
-    }
-
-    #[test]
-    fn kernel_section_reports_scheduler_counters() {
-        let stats = KernelStats {
-            sched_schedules: 64,
-            sched_preemptions: 17,
-            sched_races: 1,
-            sched_lock_edges: 9,
-            ..Default::default()
-        };
-        let html = render_html_with_kernel(&Profiler::new(), Some(&stats));
-        assert!(html.contains("Scheduling"));
-        assert!(html.contains("64 model schedules explored (17 preemptions)"));
-        assert!(html.contains("1 data races reported, 9 lock-order edges observed"));
-        // The scheduling row is always present, zeroed on non-model runs.
-        let plain = render_html_with_kernel(&Profiler::new(), Some(&KernelStats::default()));
-        assert!(plain.contains("0 model schedules explored"));
     }
 
     #[test]

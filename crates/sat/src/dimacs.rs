@@ -4,7 +4,7 @@
 //! external zchaff process in DIMACS format; we keep the format for
 //! interoperability and debugging.
 
-use crate::lit::Lit;
+use crate::lit::{Lit, Var};
 use crate::solver::Solver;
 use std::fmt::Write as _;
 
@@ -55,8 +55,9 @@ impl Cnf {
 ///
 /// # Errors
 ///
-/// Returns [`ParseDimacsError`] on malformed headers, out-of-range
-/// literals or clauses not terminated by `0`.
+/// Returns [`ParseDimacsError`] on malformed headers (including a
+/// variable count above [`Var::MAX_COUNT`] or a non-integer clause
+/// count), out-of-range literals or clauses not terminated by `0`.
 pub fn parse_dimacs(input: &str) -> Result<Cnf, ParseDimacsError> {
     let mut cnf = Cnf::default();
     let mut header_seen = false;
@@ -81,6 +82,20 @@ pub fn parse_dimacs(input: &str) -> Result<Cnf, ParseDimacsError> {
             cnf.num_vars = parts[2].parse().map_err(|_| ParseDimacsError {
                 line: lineno,
                 message: format!("bad variable count: {:?}", parts[2]),
+            })?;
+            if cnf.num_vars > Var::MAX_COUNT {
+                return Err(ParseDimacsError {
+                    line: lineno,
+                    message: format!(
+                        "variable count {} exceeds the limit of {}",
+                        cnf.num_vars,
+                        Var::MAX_COUNT
+                    ),
+                });
+            }
+            parts[3].parse::<usize>().map_err(|_| ParseDimacsError {
+                line: lineno,
+                message: format!("bad clause count: {:?}", parts[3]),
             })?;
             header_seen = true;
             continue;

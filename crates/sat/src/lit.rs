@@ -8,6 +8,10 @@ use std::ops::Not;
 pub struct Var(pub(crate) u32);
 
 impl Var {
+    /// How many variables a [`Lit`] can address: its `u32` packs the
+    /// index above one sign bit, so indices stop at `2^31 - 1`.
+    pub const MAX_COUNT: usize = 1 << 31;
+
     /// Builds a variable from its 0-based index. The index must have been
     /// allocated on the target [`crate::Solver`] before use.
     #[inline]
@@ -72,9 +76,13 @@ impl Lit {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`.
+    /// Panics if `n == 0` or `|n|` exceeds [`Var::MAX_COUNT`].
     pub fn from_dimacs(n: i64) -> Lit {
         assert!(n != 0, "DIMACS literal must be non-zero");
+        assert!(
+            n.unsigned_abs() <= Var::MAX_COUNT as u64,
+            "DIMACS literal {n} exceeds the variable limit"
+        );
         let var = Var((n.unsigned_abs() - 1) as u32);
         var.lit(n > 0)
     }

@@ -52,10 +52,6 @@ impl World {
         let phys: Vec<PhysDomId> = (0..NATTRS)
             .map(|i| u.add_physical_domain(&format!("p{i}"), BITS))
             .collect();
-        // Test-sized relations sit far below the production cutoff; lower
-        // it so runs with JEDD_THREADS > 1 also exercise the parallel
-        // apply path through the differential check.
-        u.bdd_manager().set_par_cutoff(64);
         if page_cache.is_some() {
             // Pre-grow the arena past several pager blocks with a
             // throwaway dense BDD, then collect it: the freed slots are
@@ -335,23 +331,16 @@ fn combine(w: &World, l: &Rel3, r: &Rel3, compose: bool) -> Rel3 {
     Rel3 { rel, zdd, attrs, rows }
 }
 
-/// Per-case knobs: an explicit worker-thread count (`None` keeps the
-/// `JEDD_THREADS` default), mid-run kernel churn — a GC and a sifting
-/// reorder between steps, so the differential check also covers the
-/// parallel kernel's interaction with arena compaction and variable
-/// moves — and an optional pager resident-frame budget for the relation
-/// universe (`Some(0)` = paged but unbounded).
+/// Per-case knobs: mid-run kernel churn — a GC and a sifting reorder
+/// between steps, so the differential check also covers arena compaction
+/// and variable moves — the chain-reduced backend, and an optional pager
+/// resident-frame budget for the relation universe (`Some(0)` = paged
+/// but unbounded).
 #[derive(Clone, Copy, Default)]
 struct CaseOpts {
-    threads: Option<usize>,
     churn: bool,
     chained: bool,
     page_cache: Option<usize>,
-    /// Override of the universe's parallel engagement cutoff (the world
-    /// default is 64). The scheduled-replay mode drops it to 2 so even
-    /// fuzz-sized operands reach the parallel engine under the model
-    /// scheduler.
-    par_cutoff: Option<usize>,
 }
 
 fn run_case(seed: u64) {
@@ -362,12 +351,6 @@ fn run_case(seed: u64) {
 /// assert the cache actually thrashed.
 fn run_case_with(seed: u64, opts: CaseOpts) -> jedd::bdd::KernelStats {
     let w = World::new_with(opts.chained, opts.page_cache);
-    if let Some(t) = opts.threads {
-        w.u.bdd_manager().set_threads(t);
-    }
-    if let Some(c) = opts.par_cutoff {
-        w.u.bdd_manager().set_par_cutoff(c);
-    }
     let mut rng = XorShift64Star::new(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
     let mut pool: Vec<Rel3> = (0..3).map(|_| make_base(&w, &mut rng, None)).collect();
     for step in 0..8 {
@@ -479,32 +462,25 @@ fn differential_fuzz_bdd_zdd_sets() {
     }
 }
 
-/// The shared-table kernel sweep: the same seeds re-run at worker-thread
-/// counts 1, 2, 4 and 8 with mid-run GC and reorder churn. The oracle
-/// comparison inside `check` is what enforces the determinism contract —
-/// identical tuples at every thread count — and the churn exercises the
-/// quiesced safepoints (collection and sifting never run concurrently
-/// with workers, so both must be invisible to every backend).
+/// The churn sweep: seeds re-run with a GC before every step and a
+/// sifting reorder every third step. Collection and sifting move nodes
+/// and variables under live relations, so the oracle comparison inside
+/// `check` enforces that both are invisible to every backend.
 #[test]
 fn differential_fuzz_thread_sweep_with_churn() {
     let cases: u64 = std::env::var("JEDD_FUZZ_CASES")
         .ok()
         .and_then(|s| s.parse().ok())
-        .map(|n: u64| (n / 8).max(2))
-        .unwrap_or(12);
-    for &threads in &[1usize, 2, 4, 8] {
-        for case in 0..cases {
-            run_case_with(
-                case,
-                CaseOpts {
-                    threads: Some(threads),
-                    churn: true,
-                    chained: false,
-                    page_cache: None,
-                    par_cutoff: None,
-                },
-            );
-        }
+        .map(|n: u64| (n / 2).max(2))
+        .unwrap_or(48);
+    for case in 0..cases {
+        run_case_with(
+            case,
+            CaseOpts {
+                churn: true,
+                ..CaseOpts::default()
+            },
+        );
     }
 }
 
@@ -554,7 +530,6 @@ fn differential_fuzz_paged_worlds() {
                         churn: true,
                         chained,
                         page_cache: Some(frames),
-                        ..CaseOpts::default()
                     },
                 );
                 assert_eq!(
@@ -575,72 +550,24 @@ fn differential_fuzz_paged_worlds() {
     }
 }
 
-/// The thread sweep under chain-reduced kernels. Chained managers keep
-/// the parallel apply path off internally and degrade sifting to a
-/// collection, so what this enforces is exactly that: explicit thread
-/// counts and mid-run churn must be invisible no-ops — identical tuples
-/// at every thread count, with GC/reorder calls interleaved throughout.
+/// The churn sweep under chain-reduced kernels. Chained managers
+/// degrade sifting to a collection, so what this enforces is exactly
+/// that: mid-run GC/reorder calls must be invisible no-ops.
 #[test]
 fn differential_fuzz_chained_thread_sweep_with_churn() {
     let cases: u64 = std::env::var("JEDD_FUZZ_CASES")
         .ok()
         .and_then(|s| s.parse().ok())
-        .map(|n: u64| (n / 8).max(2))
-        .unwrap_or(12);
-    for &threads in &[1usize, 2, 4, 8] {
-        for case in 0..cases {
-            run_case_with(
-                case,
-                CaseOpts {
-                    threads: Some(threads),
-                    churn: true,
-                    chained: true,
-                    page_cache: None,
-                    par_cutoff: None,
-                },
-            );
-        }
+        .map(|n: u64| (n / 2).max(2))
+        .unwrap_or(48);
+    for case in 0..cases {
+        run_case_with(
+            case,
+            CaseOpts {
+                churn: true,
+                chained: true,
+                ..CaseOpts::default()
+            },
+        );
     }
-}
-
-/// `JEDD_SCHED` mode: one thread-sweep case replayed under the
-/// `jedd-sync` deterministic scheduler. `JEDD_SCHED=<seed>` (plus the
-/// optional `JEDD_SCHED_*` knobs) picks the schedule stream; without it
-/// a fixed default seed is used. Two runs of the same configuration must
-/// be bit-for-bit identical — the same number of schedules with the same
-/// per-schedule decision fingerprints — which is what makes a failing
-/// seed from CI replayable at a desk.
-#[cfg(feature = "model")]
-#[test]
-fn differential_fuzz_scheduled_replay_is_bit_identical() {
-    use jedd::sync::model::{check, Config};
-    let cfg = Config::from_env().unwrap_or_else(|| Config::random(42, 4));
-    let sweep = || {
-        check(cfg.clone(), || {
-            run_case_with(
-                0,
-                CaseOpts {
-                    threads: Some(2),
-                    churn: false,
-                    chained: false,
-                    page_cache: None,
-                    par_cutoff: Some(2),
-                },
-            );
-        })
-    };
-    let first = sweep();
-    let second = sweep();
-    first.assert_clean();
-    assert_eq!(first.schedules, second.schedules, "schedule counts diverged");
-    assert_eq!(
-        first.fingerprints, second.fingerprints,
-        "same JEDD_SCHED seed must replay the same schedules bit-for-bit"
-    );
-    let distinct: std::collections::BTreeSet<u64> = first.fingerprints.iter().copied().collect();
-    assert!(
-        distinct.len() > 1,
-        "every schedule hashed identically — the case produced no scheduling \
-         decisions, so the sweep checked nothing"
-    );
 }
