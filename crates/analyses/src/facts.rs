@@ -140,17 +140,22 @@ fn bits_for(n: usize) -> usize {
 impl Facts {
     /// Builds the universe and loads all base relations of `p`.
     ///
-    /// The universe comes from [`Universe::new`], so the backend honours
-    /// the `JEDD_CHAIN` environment variable; use
-    /// [`Facts::load_configured`] for an explicit backend or a learned
+    /// The universe comes from [`Universe::new`]: the plain kernel, paged
+    /// when `JEDD_PAGE_CACHE` is set. Use [`Facts::load_configured`] for
+    /// the chain-reduced kernel, an explicit page budget or a learned
     /// variable order.
     ///
     /// # Errors
     ///
     /// Propagates relational-layer errors (they indicate a bug in the
     /// declarations rather than bad input).
+    ///
+    /// # Panics
+    ///
+    /// As [`Universe::new`]: when `JEDD_PAGE_CACHE` asks for paging and
+    /// the page file cannot be created.
     pub fn load(p: &Program) -> Result<Facts, JeddError> {
-        Self::load_into(Universe::new(), p, None)
+        Self::load_configured(p, Universe::new(), None)
     }
 
     /// Builds the universe on a disk-backed paged manager with a resident
@@ -160,17 +165,19 @@ impl Facts {
     ///
     /// # Errors
     ///
-    /// As [`Facts::load`].
+    /// As [`Facts::load`], plus [`JeddError::ResourceExhausted`] with a
+    /// [`jedd_core::BddError::Page`] cause when the page file cannot be
+    /// created.
     pub fn load_paged(p: &Program, frames: usize) -> Result<Facts, JeddError> {
-        Self::load_into(Universe::new_paged(frames), p, None)
+        let u = Universe::new_paged_with_backend(jedd_core::Backend::Bdd, frames)?;
+        Self::load_configured(p, u, None)
     }
 
-    /// Builds the universe on an explicit backend, optionally installing a
-    /// learned variable order (a persisted `jedd_store::OrderRecord`
-    /// `level -> var` table) before any relation is built — the
-    /// warm-start path of the order lab: the fixpoint then runs under the
-    /// known-good order from the first operation and never needs a
-    /// sifting sweep.
+    /// Loads `p` into `u`, a fresh universe whose constructor picks the
+    /// kernel and the storage (`Universe::new_paged_with_backend`, ...),
+    /// optionally installing a learned `level -> var` order (a persisted
+    /// `jedd_store::OrderRecord`) before any relation is built — the
+    /// order lab's warm start, which never needs a sifting sweep.
     ///
     /// # Errors
     ///
@@ -178,13 +185,9 @@ impl Facts {
     /// order table does not match this program's variable count.
     pub fn load_configured(
         p: &Program,
-        backend: jedd_core::Backend,
+        u: Universe,
         order: Option<&[u32]>,
     ) -> Result<Facts, JeddError> {
-        Self::load_into(Universe::new_with_backend(backend), p, order)
-    }
-
-    fn load_into(u: Universe, p: &Program, order: Option<&[u32]>) -> Result<Facts, JeddError> {
         let d_type = u.add_domain("Type", p.types.max(1) as u64);
         let d_sig = u.add_domain("Signature", p.sigs.max(1) as u64);
         let d_method = u.add_domain("Method", p.methods.max(1) as u64);

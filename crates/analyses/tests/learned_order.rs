@@ -1,12 +1,12 @@
 //! The warm-start path of the order lab: learn an order on a cold run,
 //! persist it, and verify a warm run under the persisted order is
-//! tuple-identical, sift-free, and works on every backend.
+//! tuple-identical, sift-free, and works on both kernels.
 
 use jedd_analyses::facts::Facts;
 use jedd_analyses::persist::{learn_and_save_order, load_learned_order, order_record_path};
 use jedd_analyses::pointsto::{self, CallGraphMode};
 use jedd_analyses::synth::Benchmark;
-use jedd_core::Backend;
+use jedd_core::{Backend, Universe};
 use std::collections::BTreeSet;
 
 fn tmpdir(name: &str) -> std::path::PathBuf {
@@ -26,7 +26,7 @@ fn learned_order_warm_start_is_tuple_identical_and_sift_free() {
     let p = Benchmark::Tiny.generate();
 
     // Cold run: explicit plain backend, then the order-search lab.
-    let f = Facts::load_configured(&p, Backend::Bdd, None).unwrap();
+    let f = Facts::load_configured(&p, Universe::new_with_backend(Backend::Bdd), None).unwrap();
     let cold = pointsto::analyze(&f, CallGraphMode::OnTheFly).unwrap();
     assert!(f.u.bdd_manager().kernel_stats().sift_sweeps == 0);
     let (record, (before, after)) =
@@ -45,7 +45,8 @@ fn learned_order_warm_start_is_tuple_identical_and_sift_free() {
         .unwrap()
         .expect("record was saved");
     assert_eq!(rec, record);
-    let f2 = Facts::load_configured(&p, rec.backend, Some(&rec.level2var)).unwrap();
+    let u2 = Universe::new_with_backend(rec.backend);
+    let f2 = Facts::load_configured(&p, u2, Some(&rec.level2var)).unwrap();
     assert_eq!(f2.u.bdd_manager().current_order(), rec.level2var);
     let warm = pointsto::analyze(&f2, CallGraphMode::OnTheFly).unwrap();
     assert_eq!(
@@ -60,7 +61,8 @@ fn learned_order_warm_start_is_tuple_identical_and_sift_free() {
     // The same learned order warm-starts the chain-reduced backend: the
     // kernel is order-static there, so starting from a good order is the
     // only ordering lever — and results stay tuple-identical.
-    let f3 = Facts::load_configured(&p, Backend::Cbdd, Some(&rec.level2var)).unwrap();
+    let u3 = Universe::new_with_backend(Backend::Cbdd);
+    let f3 = Facts::load_configured(&p, u3, Some(&rec.level2var)).unwrap();
     assert!(f3.u.bdd_manager().chain_mode());
     let chained = pointsto::analyze(&f3, CallGraphMode::OnTheFly).unwrap();
     assert_eq!(f3.u.bdd_manager().kernel_stats().sift_sweeps, 0);
@@ -81,7 +83,8 @@ fn learned_order_warm_start_is_tuple_identical_and_sift_free() {
 fn load_configured_rejects_wrong_sized_orders() {
     let p = Benchmark::Tiny.generate();
     let bad = vec![0u32, 1, 2];
-    let err = match Facts::load_configured(&p, Backend::Bdd, Some(&bad)) {
+    let u = Universe::new_with_backend(Backend::Bdd);
+    let err = match Facts::load_configured(&p, u, Some(&bad)) {
         Ok(_) => panic!("a wrong-sized order must not load"),
         Err(e) => e,
     };
@@ -89,35 +92,4 @@ fn load_configured_rejects_wrong_sized_orders() {
         matches!(err, jedd_core::JeddError::InvalidRestore { .. }),
         "{err}"
     );
-}
-
-#[test]
-fn zdd_storage_backends_count_fewer_or_equal_nodes() {
-    // The four-backend matrix on one program: identical tuples, and the
-    // storage accounting is well-defined for each backend.
-    let p = Benchmark::Tiny.generate();
-    let baseline = {
-        let f = Facts::load_configured(&p, Backend::Bdd, None).unwrap();
-        pointsto::analyze(&f, CallGraphMode::OnTheFly).unwrap()
-    };
-    for backend in [Backend::Bdd, Backend::Cbdd, Backend::Zdd, Backend::Czdd] {
-        let f = Facts::load_configured(&p, backend, None).unwrap();
-        assert_eq!(f.u.backend(), backend);
-        let got = pointsto::analyze(&f, CallGraphMode::OnTheFly).unwrap();
-        assert_eq!(
-            tuple_set(&got.pt),
-            tuple_set(&baseline.pt),
-            "backend {backend}"
-        );
-        let nodes = got.pt.storage_nodes();
-        assert!(nodes > 0, "backend {backend} reports live storage");
-        if backend == Backend::Cbdd {
-            assert!(
-                nodes <= baseline.pt.node_count(),
-                "cbdd {} > bdd {}",
-                nodes,
-                baseline.pt.node_count()
-            );
-        }
-    }
 }

@@ -1,14 +1,16 @@
 //! Chain-reduced decision diagrams over the Table-2 analyses: node counts
-//! and wall clock for all four backends (BDD / CBDD / ZDD / CZDD), plus
-//! the order lab's cold-search vs warm-start comparison.
+//! and wall clock for both kernels, with the ZDD and CZDD counts measured
+//! alongside, plus the order lab's cold-search vs warm-start comparison.
 //!
-//! One points-to run per kernel kind gives all four node counts: on the
-//! plain manager a relation's `node_count()` is the BDD and its
-//! `storage_nodes()` under `Backend::Zdd` the ZDD; on the chained manager
-//! the same two calls give the CBDD and CZDD. The bench asserts all runs
-//! are tuple-identical and that the chain-reduced counts never exceed
+//! One points-to run per kernel gives all four node counts: on the plain
+//! kernel a relation's `node_count()` is the BDD and its
+//! `zdd_node_count()` the ZDD; on the chained kernel the same two calls
+//! give the CBDD and CZDD. The bench asserts the runs are tuple-identical
+//! on every Table-2 preset and that the chain-reduced counts never exceed
 //! their plain counterparts — so `min(CBDD, CZDD) <= min(BDD, ZDD)` holds
 //! for every analysis, which is the paper-table claim `ci.sh` re-checks.
+//! The order lab's cold search runs on `compress` only, the preset the
+//! criterion group times.
 //!
 //! With `JEDD_BENCH_JSON` set, a `chain_reduction` section is merged into
 //! the report, one entry per benchmark.
@@ -20,13 +22,13 @@ use jedd_analyses::pointsto::{self, CallGraphMode, PointsTo};
 use jedd_analyses::synth::Benchmark;
 use jedd_bench::criterion::Criterion;
 use jedd_bench::report::{write_section, JsonObject};
-use jedd_core::Backend;
+use jedd_core::{Backend, Universe};
 use std::collections::BTreeSet;
 
 /// One measured points-to run: the result, wall seconds, and the node
 /// counts of the result relations in the decision-diagram kind the
-/// manager runs on (`dd_nodes`) and in the zero-suppressed storage
-/// encoding (`zdd_nodes`).
+/// manager runs on (`dd_nodes`) and re-encoded as a ZDD of the same
+/// flavour (`zdd_nodes`).
 struct Run {
     result: PointsTo,
     secs: f64,
@@ -36,14 +38,14 @@ struct Run {
 }
 
 fn run_backend(p: &Program, backend: Backend) -> Run {
-    let f = Facts::load_configured(p, backend, None).unwrap();
+    let f = Facts::load_configured(p, Universe::new_with_backend(backend), None).unwrap();
     let (result, secs) =
         jedd_bench::timed(|| pointsto::analyze(&f, CallGraphMode::OnTheFly).unwrap());
     let dd_nodes =
         (result.pt.node_count() + result.field_pt.node_count() + result.cg.node_count()) as u64;
-    let zdd_nodes = (result.pt.storage_nodes()
-        + result.field_pt.storage_nodes()
-        + result.cg.storage_nodes()) as u64;
+    let zdd_nodes = (result.pt.zdd_node_count()
+        + result.field_pt.zdd_node_count()
+        + result.cg.zdd_node_count()) as u64;
     f.u.bdd_manager().gc();
     let live_nodes = f.u.bdd_manager().live_nodes() as u64;
     Run {
@@ -71,7 +73,7 @@ fn search_rounds() -> usize {
 /// zero sifting sweeps). Returns the JSON entry.
 fn order_lab(dir: &std::path::Path, name: &str, p: &Program, oracle: &PointsTo) -> JsonObject {
     let (cold, cold_secs) = jedd_bench::timed(|| {
-        let f = Facts::load_configured(p, Backend::Bdd, None).unwrap();
+        let f = Facts::load_configured(p, Universe::new_with_backend(Backend::Bdd), None).unwrap();
         let result = pointsto::analyze(&f, CallGraphMode::OnTheFly).unwrap();
         let (_, counts) = learn_and_save_order(dir, name, &f, search_rounds(), 0x0bdd).unwrap();
         (result, counts)
@@ -81,7 +83,8 @@ fn order_lab(dir: &std::path::Path, name: &str, p: &Program, oracle: &PointsTo) 
 
     let record = load_learned_order(dir, name).unwrap().expect("just saved");
     let ((warm, sweeps), warm_secs) = jedd_bench::timed(|| {
-        let f = Facts::load_configured(p, record.backend, Some(&record.level2var)).unwrap();
+        let u = Universe::new_with_backend(record.backend);
+        let f = Facts::load_configured(p, u, Some(&record.level2var)).unwrap();
         let result = pointsto::analyze(&f, CallGraphMode::OnTheFly).unwrap();
         (result, f.u.bdd_manager().kernel_stats().sift_sweeps)
     });
@@ -109,8 +112,8 @@ fn bench_chain_reduction(c: &mut Criterion) {
     for backend in [Backend::Bdd, Backend::Cbdd] {
         g.bench_function(backend.name(), |b| {
             b.iter(|| {
-                let f =
-                    Facts::load_configured(std::hint::black_box(&p), backend, None).unwrap();
+                let u = Universe::new_with_backend(backend);
+                let f = Facts::load_configured(std::hint::black_box(&p), u, None).unwrap();
                 pointsto::analyze(&f, CallGraphMode::OnTheFly).unwrap()
             })
         });
@@ -124,10 +127,9 @@ fn bench_chain_reduction(c: &mut Criterion) {
     let mut section = JsonObject::new();
     for b in Benchmark::table2() {
         let p = b.generate();
-        // Plain manager: BDD operations, ZDD storage accounting.
-        let plain = run_backend(&p, Backend::Zdd);
-        // Chained manager: CBDD operations, CZDD storage accounting.
-        let chained = run_backend(&p, Backend::Czdd);
+        // Plain kernel: BDD and ZDD counts. Chained kernel: CBDD and CZDD.
+        let plain = run_backend(&p, Backend::Bdd);
+        let chained = run_backend(&p, Backend::Cbdd);
 
         // Chain reduction is a representation change only: identical
         // tuples, in the same number of rounds.
@@ -174,22 +176,21 @@ fn bench_chain_reduction(c: &mut Criterion) {
             best_plain
         );
 
-        let lab = order_lab(&dir, b.name(), &p, &plain.result);
-        section = section.object(
-            b.name(),
-            JsonObject::new()
-                .int("pt_pairs", plain.result.pt.size())
-                .int("rounds", plain.result.iterations as u64)
-                .float("bdd_s", plain.secs)
-                .float("cbdd_s", chained.secs)
-                .int("bdd_nodes", plain.dd_nodes)
-                .int("cbdd_nodes", chained.dd_nodes)
-                .int("zdd_nodes", plain.zdd_nodes)
-                .int("czdd_nodes", chained.zdd_nodes)
-                .int("bdd_live_nodes", plain.live_nodes)
-                .int("cbdd_live_nodes", chained.live_nodes)
-                .object("order_lab", lab),
-        );
+        let mut entry = JsonObject::new()
+            .int("pt_pairs", plain.result.pt.size())
+            .int("rounds", plain.result.iterations as u64)
+            .float("bdd_s", plain.secs)
+            .float("cbdd_s", chained.secs)
+            .int("bdd_nodes", plain.dd_nodes)
+            .int("cbdd_nodes", chained.dd_nodes)
+            .int("zdd_nodes", plain.zdd_nodes)
+            .int("czdd_nodes", chained.zdd_nodes)
+            .int("bdd_live_nodes", plain.live_nodes)
+            .int("cbdd_live_nodes", chained.live_nodes);
+        if b == Benchmark::Compress {
+            entry = entry.object("order_lab", order_lab(&dir, b.name(), &p, &plain.result));
+        }
+        section = section.object(b.name(), entry);
         println!(
             "chain_reduction {}: bdd {:.3}s/{} nodes, cbdd {:.3}s/{} nodes, zdd {} nodes, czdd {} nodes",
             b.name(),

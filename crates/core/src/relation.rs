@@ -296,23 +296,17 @@ impl Relation {
         self.bdd.shape()
     }
 
-    /// The node count of this relation in its universe's storage backend.
+    /// The node count of this relation's tuple set as a zero-suppressed
+    /// decision diagram of its kernel's flavour: a plain ZDD on a
+    /// [`Backend::Bdd`](crate::Backend::Bdd) universe, a chain-reduced
+    /// ZDD (CZDD) on a [`Backend::Cbdd`](crate::Backend::Cbdd) one. Each
+    /// physical-domain bit is one ZDD variable.
     ///
-    /// For [`Backend::Bdd`](crate::Backend::Bdd) and
-    /// [`Backend::Cbdd`](crate::Backend::Cbdd) this is
-    /// [`Relation::node_count`] — the (chain-reduced) BDD the operations
-    /// actually run on. For the zero-suppressed backends the tuple set is
-    /// re-encoded into a fresh (plain or chain-reduced) ZDD and its node
-    /// count is returned; this enumerates the tuples, so it is a
-    /// measurement facility for benches and the profiler, not an
-    /// operational path.
-    pub fn storage_nodes(&self) -> usize {
-        let backend = self.universe.backend();
-        if !backend.is_zdd_storage() {
-            return self.node_count();
-        }
+    /// The tuples are enumerated into a fresh ZDD manager, so this is a
+    /// measurement for benches and the profiler, not an operational path.
+    pub fn zdd_node_count(&self) -> usize {
         let nvars = self.universe.bdd_manager().num_vars();
-        let z = if backend.is_chained() {
+        let z = if self.universe.backend().is_chained() {
             jedd_bdd::ZddManager::new_chained(nvars)
         } else {
             jedd_bdd::ZddManager::new(nvars)

@@ -85,15 +85,13 @@ pub struct UniverseStats {
     pub relational_ops: u64,
 }
 
-/// The decision-diagram backend a universe stores its relations in.
+/// The BDD kernel a universe runs its relational algebra on.
 ///
-/// All four backends share the relational algebra: operations always run
-/// on the universe's BDD manager (plain for [`Backend::Bdd`] /
-/// [`Backend::Zdd`], chain-reduced for [`Backend::Cbdd`] /
-/// [`Backend::Czdd`]). The ZDD variants are *storage encodings*: they
-/// change what [`crate::Relation::storage_nodes`] measures (the
-/// zero-suppressed encoding of the tuple set), not how operations are
-/// computed.
+/// Both kernels compute the same relations; they differ only in node
+/// representation. A relation's zero-suppressed size is a measurement,
+/// not a backend: [`crate::Relation::zdd_node_count`] re-encodes the
+/// tuples into a ZDD of the kernel's own flavour, so one run on each
+/// kernel yields all four node counts (BDD, ZDD, CBDD, CZDD).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// Plain reduced ordered BDDs (the default).
@@ -101,40 +99,31 @@ pub enum Backend {
     /// Chain-reduced BDDs (CBDD): runs of forced-false levels collapse
     /// into one node. Order-static (reordering degrades to collection).
     Cbdd,
-    /// BDD algebra with zero-suppressed storage accounting.
-    Zdd,
-    /// Chain-reduced ZDD (CZDD) storage accounting over the CBDD kernel.
-    Czdd,
 }
 
 impl Backend {
     /// True when the kernel runs with chain-reduced nodes.
     pub fn is_chained(self) -> bool {
-        matches!(self, Backend::Cbdd | Backend::Czdd)
-    }
-
-    /// True when storage is accounted in the zero-suppressed encoding.
-    pub fn is_zdd_storage(self) -> bool {
-        matches!(self, Backend::Zdd | Backend::Czdd)
+        self == Backend::Cbdd
     }
 
     /// The stable single-byte tag used by the snapshot format.
     pub fn tag(self) -> u8 {
         match self {
             Backend::Bdd => 0,
-            Backend::Zdd => 1,
             Backend::Cbdd => 2,
-            Backend::Czdd => 3,
         }
     }
 
-    /// The backend for a snapshot tag, if it names one.
+    /// The backend for a snapshot tag, if it names one. Tags 1 and 3
+    /// named the ZDD-accounted variants of the plain and the chained
+    /// kernel, which ran the algebra on that same kernel; they decode as
+    /// [`Backend::Bdd`] and [`Backend::Cbdd`], so records written with
+    /// them keep loading.
     pub fn from_tag(tag: u8) -> Option<Backend> {
         match tag {
-            0 => Some(Backend::Bdd),
-            1 => Some(Backend::Zdd),
-            2 => Some(Backend::Cbdd),
-            3 => Some(Backend::Czdd),
+            0 | 1 => Some(Backend::Bdd),
+            2 | 3 => Some(Backend::Cbdd),
             _ => None,
         }
     }
@@ -144,8 +133,6 @@ impl Backend {
         match self {
             Backend::Bdd => "bdd",
             Backend::Cbdd => "cbdd",
-            Backend::Zdd => "zdd",
-            Backend::Czdd => "czdd",
         }
     }
 }
@@ -220,34 +207,29 @@ impl fmt::Debug for Universe {
 }
 
 impl Universe {
-    /// Creates an empty universe with a fresh BDD manager.
+    /// Creates an empty universe with a fresh BDD manager on the plain
+    /// [`Backend::Bdd`] kernel.
     ///
-    /// The backend defaults to [`Backend::Bdd`]; setting the environment
-    /// variable `JEDD_CHAIN=1` switches the default to [`Backend::Cbdd`]
-    /// so a whole test or analysis run can be flipped to the chain-reduced
-    /// kernel without code changes (the CI chain pass uses this).
-    ///
-    /// Likewise, `JEDD_PAGE_CACHE=N` switches the default manager to the
+    /// Setting `JEDD_PAGE_CACHE=N` switches the manager to the
     /// disk-backed pager with a resident budget of `N` frames (`0` means
     /// paged but unbounded); unset or empty keeps the fully-resident
-    /// arena. `JEDD_PAGE_DIR` picks the page-file directory. The flags
-    /// compose: a chain-mode run can be paged. Only this default
-    /// constructor reads the variables — explicit-backend construction
-    /// (snapshot restore, the order lab) stays resident unless
-    /// [`Universe::new_paged_with_backend`] is called.
+    /// arena. `JEDD_PAGE_DIR` picks the page-file directory. Only this
+    /// default constructor reads the variables. The chain-reduced kernel
+    /// is reached through the explicit-backend constructors.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `JEDD_PAGE_CACHE` asks for paging and the page file
+    /// cannot be created; use [`Universe::new_paged_with_backend`] to
+    /// handle that as an error.
     pub fn new() -> Universe {
-        let backend = if std::env::var("JEDD_CHAIN").as_deref() == Ok("1") {
-            Backend::Cbdd
-        } else {
-            Backend::Bdd
-        };
         match page_cache_from_env() {
-            Some(frames) => Universe::new_paged_with_backend(backend, frames),
-            None => Universe::new_with_backend(backend),
+            Some(frames) => Universe::new_paged(frames),
+            None => Universe::new_with_backend(Backend::Bdd),
         }
     }
 
-    /// Creates an empty universe storing relations in the given backend.
+    /// Creates an empty, fully-resident universe on the given kernel.
     pub fn new_with_backend(backend: Backend) -> Universe {
         let mgr = if backend.is_chained() {
             BddManager::new_chained(0)
@@ -264,20 +246,35 @@ impl Universe {
     /// Paged universes produce tuple-identical relations to resident ones
     /// at any budget; they trade kernel speed for the ability to run
     /// analyses whose live node count exceeds memory.
-    pub fn new_paged(frames: usize) -> Universe {
-        Universe::new_paged_with_backend(Backend::Bdd, frames)
-    }
-
-    /// Creates an empty *paged* universe on an explicit backend.
     ///
     /// # Panics
     ///
-    /// Panics when the page file cannot be created (same contract as
-    /// [`jedd_bdd::BddManager::new_paged`]).
-    pub fn new_paged_with_backend(backend: Backend, frames: usize) -> Universe {
-        let mgr = BddManager::try_new_paged_full(0, frames, backend.is_chained())
-            .expect("failed to create the page file for a paged universe");
-        Universe::with_manager(backend, mgr)
+    /// Panics when the page file cannot be created; use
+    /// [`Universe::new_paged_with_backend`] to handle that as an error.
+    pub fn new_paged(frames: usize) -> Universe {
+        match Universe::new_paged_with_backend(Backend::Bdd, frames) {
+            Ok(u) => u,
+            Err(e) => panic!("failed to create the page file for a paged universe: {e}"),
+        }
+    }
+
+    /// Creates an empty *paged* universe on an explicit kernel.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`JeddError::ResourceExhausted`] with a
+    /// [`BddError::Page`] cause when the page directory or file cannot be
+    /// created.
+    pub fn new_paged_with_backend(backend: Backend, frames: usize) -> Result<Universe, JeddError> {
+        let mgr =
+            BddManager::try_new_paged_full(0, frames, backend.is_chained()).map_err(|cause| {
+                JeddError::ResourceExhausted {
+                    op: "new_paged",
+                    cause,
+                    stats: Box::default(),
+                }
+            })?;
+        Ok(Universe::with_manager(backend, mgr))
     }
 
     fn with_manager(backend: Backend, mgr: BddManager) -> Universe {

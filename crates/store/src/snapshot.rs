@@ -287,9 +287,7 @@ pub fn encode_bdd_snapshot(universe: &Universe, relations: &[(&str, &Relation)])
         put_u32(&mut p, *slot);
     }
     // The node table is the plain spine expansion either way; the tag
-    // records which kernel to rebuild into. (A `Backend::Czdd` universe
-    // runs on the chained kernel, so it round-trips as CBDD — the ZDD
-    // storage-accounting choice is not part of the persisted data.)
+    // records which kernel to rebuild into.
     let tag = if mgr.chain_mode() {
         BACKEND_CBDD
     } else {
@@ -434,8 +432,8 @@ pub fn decode_bdd_snapshot(bytes: &[u8], path: &Path) -> Result<BddSnapshot, Sto
     c.done()?;
 
     // Rebuild: fresh manager, saved order, registries replayed in id order.
-    // The tag — not the ambient JEDD_CHAIN environment — decides the
-    // kernel, so snapshots decode identically everywhere.
+    // The tag decides the kernel, so snapshots decode identically
+    // everywhere.
     let universe = Universe::new_with_backend(if backend == BACKEND_CBDD {
         jedd_core::Backend::Cbdd
     } else {
@@ -569,7 +567,9 @@ pub fn decode_zdd_snapshot(bytes: &[u8], path: &Path) -> Result<ZddSnapshot, Sto
 pub struct OrderRecord {
     /// The analysis (or benchmark) the order was learned for.
     pub analysis: String,
-    /// The backend the order was learned under.
+    /// The kernel the order was learned under. Records whose tag names
+    /// a retired ZDD-accounted variant (1 or 3) decode as the kernel it
+    /// ran on (see `Backend::from_tag`).
     pub backend: jedd_core::Backend,
     /// The `level -> variable` table, as accepted by
     /// `BddManager::set_order` — a permutation of `0..len`.

@@ -717,6 +717,35 @@ fn order_record_rejects_non_permutations() {
     assert!(matches!(err, StoreError::Malformed { .. }), "{err}");
 }
 
+/// An order record whose backend byte is `tag`, hand-built from a tag-0
+/// record by patching that byte and recomputing the payload checksum.
+fn order_record_with_tag(tag: u8) -> Vec<u8> {
+    let record = OrderRecord { analysis: "pt".into(), backend: Backend::Bdd, level2var: vec![2, 0, 1] };
+    let mut bytes = encode_order_record(&record);
+    // Header: magic 4 · version 4 · kind 1 · payload length 8 · CRC32 4;
+    // the payload opens with the length-prefixed analysis name "pt".
+    bytes[21 + 4 + 2] = tag;
+    let crc = jedd_bdd::crc32::crc32(&bytes[21..]);
+    bytes[17..21].copy_from_slice(&crc.to_le_bytes());
+    bytes
+}
+
+#[test]
+fn order_records_with_retired_zdd_tags_decode_as_their_kernel() {
+    // Tags 1 and 3 named the ZDD-accounted variants of the plain and the
+    // chained kernel; orders learned under them load as those kernels.
+    for (tag, kernel) in [(0, Backend::Bdd), (1, Backend::Bdd), (2, Backend::Cbdd), (3, Backend::Cbdd)] {
+        let got = decode_order_record(&order_record_with_tag(tag), Path::new("mem"))
+            .unwrap_or_else(|e| panic!("tag {tag} must decode: {e}"));
+        assert_eq!((got.backend, &got.level2var[..]), (kernel, &[2, 0, 1][..]), "tag {tag}");
+    }
+    for tag in [4, 5, 0x7f, u8::MAX] {
+        let err = decode_order_record(&order_record_with_tag(tag), Path::new("mem"))
+            .expect_err("an unknown backend tag must not decode");
+        assert!(matches!(err, StoreError::Malformed { .. }), "tag {tag}: {err}");
+    }
+}
+
 #[test]
 fn order_record_file_round_trip() {
     let d = tmpdir("order-file");
