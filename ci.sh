@@ -134,6 +134,12 @@ JEDD_BENCH_SAMPLES=3 JEDD_BENCH_JSON="$(pwd)/BENCH_kernel.json" \
 JEDD_BENCH_SAMPLES=1 JEDD_ORDER_SEARCH_ROUNDS="${JEDD_ORDER_SEARCH_ROUNDS:-1}" \
     JEDD_BENCH_JSON="$(pwd)/BENCH_kernel.json" \
     cargo bench -p jedd-bench --bench chain_reduction --offline
+# Fact loading: from_tuples (one minterm per tuple, ORed in along its own
+# path without the op cache) against the fold of Relation::tuple unions on
+# the base relations of the five Table-2 presets, plain and chained; it
+# asserts both build the same diagram, relation by relation.
+JEDD_BENCH_SAMPLES=3 JEDD_BENCH_JSON="$(pwd)/BENCH_kernel.json" \
+    cargo bench -p jedd-bench --bench tuple_load --offline
 # Table 1's combined assignment problem: SAT size and best compile and
 # solve times of the five analyses' mini-Jedd sources.
 JEDD_BENCH_SAMPLES=3 JEDD_BENCH_JSON="$(pwd)/BENCH_kernel.json" \

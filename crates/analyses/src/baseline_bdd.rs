@@ -92,10 +92,6 @@ impl Layout {
         }
     }
 
-    fn pair(&self, a: &[u32], av: u64, b: &[u32], bv: u64) -> Bdd {
-        self.mgr.encode_value(a, av).and(&self.mgr.encode_value(b, bv))
-    }
-
     fn perm(from: &[u32], to: &[u32]) -> Permutation {
         let pairs: Vec<(u32, u32)> = from.iter().copied().zip(to.iter().copied()).collect();
         Permutation::from_pairs(&pairs)
@@ -161,54 +157,49 @@ pub fn analyze(p: &Program) -> RawPointsTo {
     // methodThis(M1, V1), methodRet(M1, V1).
     let mut extend = mgr.constant_false();
     for &(s, t) in &p.extend {
-        extend = extend.or(&l.pair(&l.t1, s as u64, &l.t2, t as u64));
+        extend = mgr.insert_values(&extend, &[(&l.t1, s as u64), (&l.t2, t as u64)]);
     }
     let mut declares = mgr.constant_false();
     for &(t, s, m) in &p.declares {
-        let x = l
-            .pair(&l.t2, t as u64, &l.s1, s as u64)
-            .and(&mgr.encode_value(&l.m1, m as u64));
-        declares = declares.or(&x);
+        let x = [(&l.t2[..], t as u64), (&l.s1, s as u64), (&l.m1, m as u64)];
+        declares = mgr.insert_values(&declares, &x);
     }
     let mut objtype = mgr.constant_false();
     for &(a, t) in &p.alloc_type {
-        objtype = objtype.or(&l.pair(&l.h1, a as u64, &l.t1, t as u64));
+        objtype = mgr.insert_values(&objtype, &[(&l.h1, a as u64), (&l.t1, t as u64)]);
     }
     let mut pt = mgr.constant_false();
     for &(_, v, a) in &p.news {
-        pt = pt.or(&l.pair(&l.v1, v as u64, &l.h1, a as u64));
+        pt = mgr.insert_values(&pt, &[(&l.v1, v as u64), (&l.h1, a as u64)]);
     }
     let mut assigns = mgr.constant_false();
     for &(_, d, s) in &p.assigns {
-        assigns = assigns.or(&l.pair(&l.v2, d as u64, &l.v1, s as u64));
+        assigns = mgr.insert_values(&assigns, &[(&l.v2, d as u64), (&l.v1, s as u64)]);
     }
     let mut loads = mgr.constant_false();
     for &(_, d, b, ff) in &p.loads {
-        let x = l
-            .pair(&l.v2, d as u64, &l.v1, b as u64)
-            .and(&mgr.encode_value(&l.f1, ff as u64));
-        loads = loads.or(&x);
+        let x = [(&l.v2[..], d as u64), (&l.v1, b as u64), (&l.f1, ff as u64)];
+        loads = mgr.insert_values(&loads, &x);
     }
     let mut stores = mgr.constant_false();
     for &(_, b, ff, s) in &p.stores {
-        let x = l
-            .pair(&l.v1, b as u64, &l.v2, s as u64)
-            .and(&mgr.encode_value(&l.f1, ff as u64));
-        stores = stores.or(&x);
+        let x = [(&l.v1[..], b as u64), (&l.v2, s as u64), (&l.f1, ff as u64)];
+        stores = mgr.insert_values(&stores, &x);
     }
     let mut site_recv = mgr.constant_false();
     let mut site_sig = mgr.constant_false();
     for c in &p.calls {
-        site_recv = site_recv.or(&l.pair(&l.c1, c.site as u64, &l.v1, c.recv as u64));
-        site_sig = site_sig.or(&l.pair(&l.c1, c.site as u64, &l.s1, c.sig as u64));
+        let site = (&l.c1[..], c.site as u64);
+        site_recv = mgr.insert_values(&site_recv, &[site, (&l.v1, c.recv as u64)]);
+        site_sig = mgr.insert_values(&site_sig, &[site, (&l.s1, c.sig as u64)]);
     }
     let mut method_this = mgr.constant_false();
     for &(m, v) in &p.method_this {
-        method_this = method_this.or(&l.pair(&l.m1, m as u64, &l.v1, v as u64));
+        method_this = mgr.insert_values(&method_this, &[(&l.m1, m as u64), (&l.v1, v as u64)]);
     }
     let mut method_ret = mgr.constant_false();
     for &(m, v) in &p.method_ret {
-        method_ret = method_ret.or(&l.pair(&l.m1, m as u64, &l.v1, v as u64));
+        method_ret = mgr.insert_values(&method_ret, &[(&l.m1, m as u64), (&l.v1, v as u64)]);
     }
     // site args / method params with the param index expanded by hand
     // (small position counts; the hand-coded version simply burns one
@@ -225,14 +216,14 @@ pub fn analyze(p: &Program) -> RawPointsTo {
         let mut sa = mgr.constant_false();
         for c in &p.calls {
             if let Some(&a) = c.args.get(i as usize) {
-                sa = sa.or(&l.pair(&l.c1, c.site as u64, &l.v1, a as u64));
+                sa = mgr.insert_values(&sa, &[(&l.c1, c.site as u64), (&l.v1, a as u64)]);
             }
         }
         site_arg_by_idx.push(sa);
         let mut mp = mgr.constant_false();
         for &(m, idx, v) in &p.method_params {
             if idx == i {
-                mp = mp.or(&l.pair(&l.m1, m as u64, &l.v1, v as u64));
+                mp = mgr.insert_values(&mp, &[(&l.m1, m as u64), (&l.v1, v as u64)]);
             }
         }
         method_param_by_idx.push(mp);
@@ -240,7 +231,7 @@ pub fn analyze(p: &Program) -> RawPointsTo {
     let mut site_ret = mgr.constant_false();
     for c in &p.calls {
         if let Some(r) = c.ret {
-            site_ret = site_ret.or(&l.pair(&l.c1, c.site as u64, &l.v1, r as u64));
+            site_ret = mgr.insert_values(&site_ret, &[(&l.c1, c.site as u64), (&l.v1, r as u64)]);
         }
     }
 

@@ -15,6 +15,9 @@
 //!   `bdd_appex`, used for Jedd's composition operator `<>`),
 //! * variable permutation [`Bdd::replace`] (BuDDy `bdd_replace`, CUDD
 //!   `SwapVariables`) for moving relations between physical domains,
+//! * tuple construction and insertion ([`BddManager::encode_values`],
+//!   [`BddManager::insert_values`]): one minterm per tuple, ORed into a
+//!   relation along its own path without the operation cache,
 //! * model counting ([`Bdd::satcount`]) and assignment enumeration for the
 //!   relation iterators,
 //! * reference-counted external handles with mark-and-sweep garbage
@@ -51,6 +54,7 @@ pub mod crc32;
 mod cube;
 mod extras;
 mod manager;
+mod minterm;
 mod node;
 mod ops;
 pub mod pager;

@@ -137,6 +137,16 @@ pub(crate) fn expect_within_budget<T>(op: &'static str, r: Result<T, BddError>) 
     }
 }
 
+fn assert_fields_fit(fields: &[(&[u32], u64)]) {
+    for &(bits, value) in fields {
+        assert!(
+            bits.len() >= 64 || value < (1u64 << bits.len()),
+            "value {value} does not fit in {} bits",
+            bits.len()
+        );
+    }
+}
+
 impl BddManager {
     /// Creates a manager with `num_vars` boolean variables, at levels
     /// `0..num_vars` (level order == variable order).
@@ -388,29 +398,60 @@ impl BddManager {
     ///
     /// Returns a [`BddError`] on budget exhaustion or injected faults.
     pub fn try_encode_value(&self, bits: &[u32], value: u64) -> Result<Bdd, BddError> {
-        assert!(
-            bits.len() >= 64 || value < (1u64 << bits.len()),
-            "value {value} does not fit in {} bits",
-            bits.len()
-        );
-        let id = run_governed(&self.inner, |inner| {
-            // Build bottom-up in level order for linear-time construction.
-            let mut lits: Vec<(u32, bool)> = Vec::with_capacity(bits.len());
-            for (i, &b) in bits.iter().enumerate() {
-                let bit_set = (value >> (bits.len() - 1 - i)) & 1 == 1;
-                lits.push((inner.level_of_var(b), bit_set));
-            }
-            lits.sort_unstable_by_key(|&(l, _)| l);
-            let mut acc = NodeId::TRUE.0;
-            for &(level, pos) in lits.iter().rev() {
-                acc = if pos {
-                    inner.mk(level, NodeId::FALSE.0, acc)?
-                } else {
-                    inner.mk(level, acc, NodeId::FALSE.0)?
-                };
-            }
-            Ok(acc)
-        })?;
+        self.try_encode_values(&[(bits, value)])
+    }
+
+    /// Encodes a tuple: the conjunction of every field's `value` over its
+    /// `bits` (most significant bit first), built bottom-up in the current
+    /// level order with one `mk` per bit. A variable shared by two fields
+    /// must agree between them, or the result is empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a value does not fit in its bits, or on budget exhaustion
+    /// (see [`BddManager::try_encode_values`]).
+    pub fn encode_values(&self, fields: &[(&[u32], u64)]) -> Bdd {
+        expect_within_budget("encode_values", self.try_encode_values(fields))
+    }
+
+    /// Budget-aware form of [`BddManager::encode_values`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`BddError`] on budget exhaustion or injected faults.
+    pub fn try_encode_values(&self, fields: &[(&[u32], u64)]) -> Result<Bdd, BddError> {
+        assert_fields_fit(fields);
+        let id = run_governed(&self.inner, |inner| inner.encode_minterm(fields))?;
+        Ok(self.wrap(id))
+    }
+
+    /// Inserts one tuple into `f`: `f ∨ encode_values(fields)`, built
+    /// without the operation cache. The tuple's minterm is ORed in along
+    /// its own path, so only the nodes on that path are rebuilt; where `f`
+    /// tests a variable the tuple leaves free, the general memoised OR
+    /// takes over.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` belongs to a different manager, if a value does not
+    /// fit in its bits, or on budget exhaustion (see
+    /// [`BddManager::try_insert_values`]).
+    pub fn insert_values(&self, f: &Bdd, fields: &[(&[u32], u64)]) -> Bdd {
+        expect_within_budget("insert_values", self.try_insert_values(f, fields))
+    }
+
+    /// Budget-aware form of [`BddManager::insert_values`]: one governed
+    /// operation, so budgets, the GC → reorder recovery ladder and pager
+    /// faults apply to it like to any other.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`BddError`] on budget exhaustion, injected faults or a
+    /// failed page read.
+    pub fn try_insert_values(&self, f: &Bdd, fields: &[(&[u32], u64)]) -> Result<Bdd, BddError> {
+        assert!(self.owns(f), "insert_values: BDD from a different manager");
+        assert_fields_fit(fields);
+        let id = run_governed(&self.inner, |inner| inner.insert_minterm(f.id, fields))?;
         Ok(self.wrap(id))
     }
 

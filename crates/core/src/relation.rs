@@ -192,23 +192,19 @@ impl Relation {
     ) -> Result<Relation, JeddError> {
         let schema: Vec<(AttrId, PhysDomId)> = fields.iter().map(|&(a, p, _)| (a, p)).collect();
         let schema = Self::check_schema(universe, &schema, "literal")?;
-        let mgr = universe.bdd_manager();
-        let mut bdd = mgr.constant_true();
-        for &(a, p, value) in fields {
-            let d = universe.attribute_domain(a);
-            let size = universe.domain_size(d);
-            if value >= size {
-                return Err(JeddError::ObjectOutOfRange {
-                    domain: universe.domain_name(d),
-                    index: value,
-                    size,
-                });
-            }
-            bdd = mgr
-                .try_encode_value(&universe.physdom_bits(p), value)
-                .and_then(|enc| bdd.try_and(&enc))
-                .map_err(|e| universe.resource_exhausted("literal", e))?;
+        let bits: Vec<Vec<u32>> = fields
+            .iter()
+            .map(|&(_, p, _)| universe.physdom_bits(p))
+            .collect();
+        let mut encoded: Vec<(&[u32], u64)> = Vec::with_capacity(fields.len());
+        for (&(a, _, value), bits) in fields.iter().zip(&bits) {
+            Self::check_object(universe, a, value)?;
+            encoded.push((bits, value));
         }
+        let bdd = universe
+            .bdd_manager()
+            .try_encode_values(&encoded)
+            .map_err(|e| universe.resource_exhausted("literal", e))?;
         Ok(Relation {
             universe: universe.clone(),
             schema,
@@ -216,10 +212,29 @@ impl Relation {
         })
     }
 
+    /// Checks that `value` names an object of attribute `a`'s domain.
+    fn check_object(universe: &Universe, a: AttrId, value: u64) -> Result<(), JeddError> {
+        let d = universe.attribute_domain(a);
+        let size = universe.domain_size(d);
+        if value >= size {
+            return Err(JeddError::ObjectOutOfRange {
+                domain: universe.domain_name(d),
+                index: value,
+                size,
+            });
+        }
+        Ok(())
+    }
+
     /// Builds a relation from explicit tuples; each tuple lists object
     /// indices in the column order of the `schema` argument *as given*
     /// (the stored schema, and the order used by [`Relation::tuples`] and
     /// [`Relation::contains`], is attribute-registration order).
+    ///
+    /// Each tuple goes in through one kernel op,
+    /// [`jedd_bdd::BddManager::try_insert_values`], which ORs its minterm
+    /// in along the minterm's own path without the operation cache. The
+    /// result is the same diagram as the union of the tuples' literals.
     ///
     /// # Errors
     ///
@@ -231,11 +246,13 @@ impl Relation {
         tuples: &[Vec<u64>],
     ) -> Result<Relation, JeddError> {
         let sorted = Self::check_schema(universe, schema, "from_tuples")?;
-        let mut rel = Relation {
-            universe: universe.clone(),
-            schema: sorted,
-            bdd: universe.bdd_manager().constant_false(),
-        };
+        let mgr = universe.bdd_manager();
+        let columns: Vec<Vec<u32>> = schema
+            .iter()
+            .map(|&(_, p)| universe.physdom_bits(p))
+            .collect();
+        let mut bdd = mgr.constant_false();
+        let mut fields: Vec<(&[u32], u64)> = Vec::with_capacity(schema.len());
         for t in tuples {
             if t.len() != schema.len() {
                 return Err(JeddError::TupleArity {
@@ -243,18 +260,20 @@ impl Relation {
                     found: t.len(),
                 });
             }
-            let fields: Vec<(AttrId, PhysDomId, u64)> = schema
-                .iter()
-                .zip(t.iter())
-                .map(|(&(a, p), &v)| (a, p, v))
-                .collect();
-            let one = Relation::tuple(universe, &fields)?;
-            rel.bdd = rel
-                .bdd
-                .try_or(&one.bdd)
+            fields.clear();
+            for (bits, (&(a, _), &value)) in columns.iter().zip(schema.iter().zip(t)) {
+                Self::check_object(universe, a, value)?;
+                fields.push((bits, value));
+            }
+            bdd = mgr
+                .try_insert_values(&bdd, &fields)
                 .map_err(|e| universe.resource_exhausted("from_tuples", e))?;
         }
-        Ok(rel)
+        Ok(Relation {
+            universe: universe.clone(),
+            schema: sorted,
+            bdd,
+        })
     }
 
     /// The universe this relation belongs to.

@@ -31,7 +31,7 @@ use jedd::analyses::facts::Facts;
 use jedd::analyses::pointsto::{self, CallGraphMode};
 use jedd::analyses::synth::Benchmark;
 use jedd::analyses::{callgraph, hierarchy, sideeffect};
-use jedd::bdd::pager::BLOCK_NODES;
+use jedd::bdd::pager::{BLOCK_BYTES, BLOCK_NODES, HEADER_BYTES};
 use jedd::bdd::rng::XorShift64Star;
 use jedd::bdd::{ZddId, ZddManager};
 use jedd::core::{AttrId, Backend, BddError, Budget, JeddError, PhysDomId, Relation, Universe};
@@ -71,12 +71,25 @@ fn cells() -> Vec<Cell> {
     out
 }
 
-/// What cases did: budget trips and completions, and page faults.
+/// What cases did: budget trips and completions, and page faults; the
+/// `load_*` fields count the `from_tuples` calls that built base relations.
 #[derive(Clone, Copy, Default)]
 struct Tally {
     trips: u64,
     done: u64,
     faults: u64,
+    load_trips: u64,
+    load_faults: u64,
+}
+
+impl Tally {
+    fn add(&mut self, t: Tally) {
+        self.trips += t.trips;
+        self.done += t.done;
+        self.faults += t.faults;
+        self.load_trips += t.load_trips;
+        self.load_faults += t.load_faults;
+    }
 }
 
 /// One shared evaluation context per case.
@@ -136,6 +149,39 @@ impl World {
         };
         let limits = cell.budget.then(|| RefCell::new(XorShift64Star::new(seed ^ 0x00b0_d6e7)));
         World { u, attrs, phys, z, limits, tally: RefCell::default(), warm_faults }
+    }
+
+    /// Builds a base relation through `from_tuples`, as the analyses load
+    /// their facts, and counts the page faults it takes. In a budget cell
+    /// the load first runs under a tight node limit, where it may only
+    /// trip with a `ResourceExhausted` that names `from_tuples`; a tripped
+    /// load is repeated without the limit, so the case goes on.
+    fn load(&self, schema: &[(AttrId, PhysDomId)], tuples: &[Vec<u64>]) -> Relation {
+        let mgr = self.u.bdd_manager();
+        let faults = mgr.kernel_stats().page_faults;
+        let mut loaded = None;
+        if let Some(rng) = &self.limits {
+            let live = mgr.live_nodes();
+            let limit = live / 2 + rng.borrow_mut().gen_index(0..live / 2 + 48);
+            self.u
+                .set_budget(Budget::unlimited().with_max_live_nodes(limit));
+            let result = Relation::from_tuples(&self.u, schema, tuples);
+            self.u.set_budget(Budget::unlimited());
+            match result {
+                Ok(rel) => loaded = Some(rel),
+                Err(JeddError::ResourceExhausted {
+                    op: "from_tuples",
+                    cause: BddError::NodeLimit { .. },
+                    ..
+                }) => self.tally.borrow_mut().load_trips += 1,
+                Err(e) => panic!("budgeted from_tuples failed with a non-budget error: {e}"),
+            }
+        }
+        let rel = loaded.unwrap_or_else(|| {
+            Relation::from_tuples(&self.u, schema, tuples).expect("valid base relation")
+        });
+        self.tally.borrow_mut().load_faults += mgr.kernel_stats().page_faults - faults;
+        rel
     }
 
     /// Runs the relational side of one step. In a budget cell the
@@ -275,7 +321,14 @@ fn make_base(w: &World, rng: &mut XorShift64Star, want: Option<Vec<usize>>) -> R
     let schema: Vec<(AttrId, PhysDomId)> =
         attrs.iter().map(|&i| (w.attrs[i], w.phys[i])).collect();
     let tuples: Vec<Vec<u64>> = rows.iter().cloned().collect();
-    let rel = Relation::from_tuples(&w.u, &schema, &tuples).expect("valid base relation");
+    let rel = w.load(&schema, &tuples);
+    // Loading must build the very diagram a union of tuple literals does.
+    let mut fold = Relation::empty(&w.u, &schema).expect("valid schema");
+    for t in &tuples {
+        let fields: Vec<_> = schema.iter().zip(t).map(|(&(a, p), &v)| (a, p, v)).collect();
+        fold = fold.union(&Relation::tuple(&w.u, &fields).expect("tuple")).expect("union");
+    }
+    assert_eq!(rel.bdd(), fold.bdd(), "from_tuples differs from the union of its tuples");
     let sets: Vec<Vec<u32>> = rows.iter().map(|t| row_vars(&attrs, t)).collect();
     let zdd = w.z.family(&sets);
     let r = Rel3 { rel, zdd, attrs, rows };
@@ -600,18 +653,21 @@ fn mode_matrix(test: &str) {
         for seed in 0..cases(cell) {
             let t = std::panic::catch_unwind(|| run_cell(cell, seed))
                 .unwrap_or_else(|_| panic!("failed: run_cell({cell:?}, {seed}) replays it"));
-            sum.trips += t.trips;
-            sum.done += t.done;
-            sum.faults += t.faults;
+            sum.add(t);
         }
         if matches!(cell.frames, Some(n) if n > 0) {
             assert!(sum.faults > 0, "{cell:?}: the cases never paged");
         }
+        if cell.frames == Some(2) {
+            assert!(sum.load_faults > 0, "{cell:?}: from_tuples never paged");
+        }
         if cell.budget {
             assert!(
-                sum.trips > 0 && sum.done > 0,
-                "{cell:?}: {} budget trips and {} completed operations; both must be non-zero",
+                sum.trips > 0 && sum.done > 0 && sum.load_trips > 0,
+                "{cell:?}: {} budget trips ({} of them in from_tuples) and {} completed \
+                 operations; all must be non-zero",
                 sum.trips,
+                sum.load_trips,
                 sum.done
             );
         }
@@ -647,6 +703,96 @@ fn differential_fuzz_chained_thread_sweep_with_churn() {
 #[test]
 fn differential_fuzz_paged_worlds() {
     mode_matrix("differential_fuzz_paged_worlds");
+}
+
+/// A torn page read inside `from_tuples` is a typed error, never a panic
+/// or a wrong relation. On both kernels at 2 frames: load a relation, grow
+/// the arena four blocks past it so its nodes are evicted, corrupt every
+/// block on disk, then load the same tuples again. Re-interning the first
+/// tuple's nodes reads their cold block back and fails its checksum.
+#[test]
+fn from_tuples_reports_a_torn_page_as_a_typed_error() {
+    for backend in [Backend::Bdd, Backend::Cbdd] {
+        let u = Universe::new_paged_with_backend(backend, 2).expect("page file");
+        let mgr = u.bdd_manager();
+        // A collection would stream the corrupt blocks back in itself.
+        mgr.set_gc_enabled(false);
+        let d = u.add_domain("obj", DOM);
+        let schema: Vec<(AttrId, PhysDomId)> = (0..3)
+            .map(|i| {
+                let a = u.add_attribute(&format!("a{i}"), d);
+                (a, u.add_physical_domain(&format!("p{i}"), BITS))
+            })
+            .collect();
+        let mut tuples = Vec::new();
+        for x in 0..DOM {
+            for y in 0..DOM {
+                tuples.push(vec![x, y, (x + y) % DOM]);
+            }
+        }
+        let rel = Relation::from_tuples(&u, &schema, &tuples).expect("load");
+        let pad = u.physdom_bits(u.add_physical_domain("pad", 16));
+        let grow_to = mgr.live_nodes() + 4 * BLOCK_NODES;
+        let mut rng = XorShift64Star::new(7);
+        let mut cubes = Vec::new();
+        while mgr.live_nodes() < grow_to {
+            cubes.push(mgr.encode_value(&pad, rng.gen_range(0..1 << 16)));
+        }
+        let file = mgr.page_file().expect("paged");
+        let mut bytes = std::fs::read(&file).expect("read page file");
+        assert!(
+            bytes.len() >= 4 * BLOCK_BYTES,
+            "{backend}: the relation was never evicted"
+        );
+        for block in 0..bytes.len() / BLOCK_BYTES {
+            bytes[block * BLOCK_BYTES + HEADER_BYTES + 1] ^= 0x40;
+        }
+        std::fs::write(&file, &bytes).expect("corrupt page file");
+        match Relation::from_tuples(&u, &schema, &tuples) {
+            Err(JeddError::ResourceExhausted {
+                op: "from_tuples",
+                cause: BddError::Page { .. },
+                ..
+            }) => {}
+            Err(e) => panic!("{backend}: torn page surfaced as {e}"),
+            Ok(_) => panic!("{backend}: a load over corrupt blocks succeeded"),
+        }
+        assert!(
+            mgr.take_page_error().is_some(),
+            "{backend}: no parked page error"
+        );
+        drop((rel, cubes));
+    }
+}
+
+/// The benchmark's `pointsto_paged` workload must fault on compress at 256
+/// frames (its must-fault guard), or the paged side measures a resident
+/// run. Today the spill starts during the load: the per-tuple
+/// path-copying inserts leave enough garbage to push the arena past 256
+/// frames. A loader that stops that spill fails here, in `cargo test`,
+/// rather than as failed benchmark calls; the frame budget has to be
+/// retuned with it.
+#[test]
+fn pointsto_paged_compress_faults_at_256_frames() {
+    const FRAMES: usize = 256;
+    let p = Benchmark::Compress.generate();
+    let f = Facts::load_paged(&p, FRAMES).expect("paged facts");
+    let loaded = f.u.bdd_manager().kernel_stats().page_faults;
+    let pt = pointsto::analyze(&f, CallGraphMode::OnTheFly).expect("paged points-to");
+    let k = f.u.bdd_manager().kernel_stats();
+    assert!(
+        loaded > 0,
+        "loading compress no longer faults at {FRAMES} frames"
+    );
+    assert!(k.page_faults >= loaded && k.page_max_resident as usize <= FRAMES);
+    let resident = Facts::load_configured(&p, Universe::new_with_backend(Backend::Bdd), None)
+        .expect("resident facts");
+    let want = pointsto::analyze(&resident, CallGraphMode::OnTheFly).expect("points-to");
+    assert_eq!(
+        ts(&pt.pt),
+        ts(&want.pt),
+        "paged compress diverged from resident"
+    );
 }
 
 type TupleSet = BTreeSet<Vec<u64>>;
