@@ -239,7 +239,7 @@ pub fn analyze(p: &Program) -> RawPointsTo {
     // replace spelled out).
     let cube_v1 = mgr.cube(&l.v1);
     let cube_h1 = mgr.cube(&l.h1);
-    
+
     let cube_s1 = mgr.cube(&l.s1);
     let cube_t2 = mgr.cube(&l.t2);
     let cube_c1 = mgr.cube(&l.c1);
@@ -373,21 +373,15 @@ mod tests {
             let raw = analyze(&p);
             let sets = baseline_sets::points_to(&p);
             let expect_pt: Vec<(u64, u64)> = {
-                let mut v: Vec<(u64, u64)> = sets
-                    .pt
-                    .iter()
-                    .map(|&(a, b)| (a as u64, b as u64))
-                    .collect();
+                let mut v: Vec<(u64, u64)> =
+                    sets.pt.iter().map(|&(a, b)| (a as u64, b as u64)).collect();
                 v.sort_unstable();
                 v
             };
             assert_eq!(raw.pt_pairs(), expect_pt, "pt mismatch on {}", b.name());
             let expect_cg: Vec<(u64, u64)> = {
-                let mut v: Vec<(u64, u64)> = sets
-                    .cg
-                    .iter()
-                    .map(|&(a, b)| (a as u64, b as u64))
-                    .collect();
+                let mut v: Vec<(u64, u64)> =
+                    sets.cg.iter().map(|&(a, b)| (a as u64, b as u64)).collect();
                 v.sort_unstable();
                 v
             };

@@ -105,8 +105,16 @@ fn points_to_impl(p: &Program, typed: bool) -> SetPointsTo {
         }
         // Stores.
         for &(_, b, f, s) in &p.stores {
-            let bases: Vec<u32> = pt.iter().filter(|&&(v, _)| v == b).map(|&(_, o)| o).collect();
-            let vals: Vec<u32> = pt.iter().filter(|&&(v, _)| v == s).map(|&(_, o)| o).collect();
+            let bases: Vec<u32> = pt
+                .iter()
+                .filter(|&&(v, _)| v == b)
+                .map(|&(_, o)| o)
+                .collect();
+            let vals: Vec<u32> = pt
+                .iter()
+                .filter(|&&(v, _)| v == s)
+                .map(|&(_, o)| o)
+                .collect();
             for &ob in &bases {
                 for &o in &vals {
                     changed |= field_pt.insert((ob, f, o));
@@ -115,7 +123,11 @@ fn points_to_impl(p: &Program, typed: bool) -> SetPointsTo {
         }
         // Loads.
         for &(_, d, b, f) in &p.loads {
-            let bases: Vec<u32> = pt.iter().filter(|&&(v, _)| v == b).map(|&(_, o)| o).collect();
+            let bases: Vec<u32> = pt
+                .iter()
+                .filter(|&&(v, _)| v == b)
+                .map(|&(_, o)| o)
+                .collect();
             for &ob in &bases {
                 let objs: Vec<u32> = field_pt
                     .iter()
@@ -203,7 +215,12 @@ pub fn side_effects(p: &Program, ptres: &SetPointsTo) -> SetSideEffects {
     // Caller -> callee edges.
     let mut call_edges: BTreeSet<(u32, u32)> = BTreeSet::new();
     for &(site, callee) in &ptres.cg {
-        let caller = p.calls.iter().find(|c| c.site == site).expect("site").caller;
+        let caller = p
+            .calls
+            .iter()
+            .find(|c| c.site == site)
+            .expect("site")
+            .caller;
         call_edges.insert((caller, callee));
     }
     out.reads_star = out.reads.clone();
@@ -257,7 +274,9 @@ mod tests {
         if p.vars >= 2 {
             p.assigns.push((0, 1, 0));
             let more = points_to(&p);
-            assert!(more.pt.is_superset(&base.pt.iter().copied().filter(|&(v, _)| v != 1).collect()));
+            assert!(more
+                .pt
+                .is_superset(&base.pt.iter().copied().filter(|&(v, _)| v != 1).collect()));
         }
         let _ = base;
     }

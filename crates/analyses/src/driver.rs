@@ -57,7 +57,9 @@ pub fn run_with_budget(p: &Program, budget: Budget) -> Result<WholeProgram, Jedd
     // every fallback that needs it.
     let mut sets_cache: Option<baseline_sets::SetPointsTo> = None;
     let sets = |cache: &mut Option<baseline_sets::SetPointsTo>| -> baseline_sets::SetPointsTo {
-        cache.get_or_insert_with(|| baseline_sets::points_to(p)).clone()
+        cache
+            .get_or_insert_with(|| baseline_sets::points_to(p))
+            .clone()
     };
 
     let hierarchy = match hierarchy::compute(&facts) {
@@ -522,11 +524,8 @@ mod tests {
             .into_iter()
             .map(|t| (t[0], t[1]))
             .collect();
-        let expect_pt: BTreeSet<(u64, u64)> = sets
-            .pt
-            .iter()
-            .map(|&(v, o)| (v as u64, o as u64))
-            .collect();
+        let expect_pt: BTreeSet<(u64, u64)> =
+            sets.pt.iter().map(|&(v, o)| (v as u64, o as u64)).collect();
         assert_eq!(got_pt, expect_pt, "pt through the Jedd language");
 
         // siteTarget columns are (site, method) as declared.
@@ -536,11 +535,8 @@ mod tests {
             .into_iter()
             .map(|t| (t[0], t[1]))
             .collect();
-        let expect_cg: BTreeSet<(u64, u64)> = sets
-            .cg
-            .iter()
-            .map(|&(s, m)| (s as u64, m as u64))
-            .collect();
+        let expect_cg: BTreeSet<(u64, u64)> =
+            sets.cg.iter().map(|&(s, m)| (s as u64, m as u64)).collect();
         assert_eq!(got_cg, expect_cg, "call graph through the Jedd language");
     }
 
@@ -594,11 +590,8 @@ mod typed_driver_tests {
             .into_iter()
             .map(|t| (t[0], t[1]))
             .collect();
-        let expect: BTreeSet<(u64, u64)> = sets
-            .pt
-            .iter()
-            .map(|&(v, o)| (v as u64, o as u64))
-            .collect();
+        let expect: BTreeSet<(u64, u64)> =
+            sets.pt.iter().map(|&(v, o)| (v as u64, o as u64)).collect();
         assert_eq!(got, expect, "typed pt through the Jedd language");
     }
 }

@@ -265,8 +265,7 @@ impl Facts {
                 .map(|&(t, s, m)| vec![t as u64, s as u64, m as u64])
                 .collect::<Vec<_>>(),
         )?;
-        let objtype =
-            Relation::from_tuples(&u, &[(obj, h1), (ty, t1)], &t2u(&p.alloc_type))?;
+        let objtype = Relation::from_tuples(&u, &[(obj, h1), (ty, t1)], &t2u(&p.alloc_type))?;
         let news = Relation::from_tuples(
             &u,
             &[(var, v1), (obj, h1)],
@@ -329,8 +328,7 @@ impl Facts {
                 arg_tuples.push(vec![c.site as u64, i as u64, a as u64]);
             }
         }
-        let site_arg =
-            Relation::from_tuples(&u, &[(site, c1), (idx, p1), (var, v1)], &arg_tuples)?;
+        let site_arg = Relation::from_tuples(&u, &[(site, c1), (idx, p1), (var, v1)], &arg_tuples)?;
         let site_ret = Relation::from_tuples(
             &u,
             &[(site, c1), (var, v1)],
@@ -382,8 +380,7 @@ impl Facts {
             .iter()
             .map(|&(v, t)| vec![v as u64, t as u64])
             .collect();
-        let listed: std::collections::BTreeSet<u32> =
-            p.var_type.iter().map(|&(v, _)| v).collect();
+        let listed: std::collections::BTreeSet<u32> = p.var_type.iter().map(|&(v, _)| v).collect();
         for v in 0..p.vars as u32 {
             if !listed.contains(&v) {
                 vt.push(vec![v as u64, 0]);
@@ -485,14 +482,16 @@ impl Facts {
     /// from a different producer or a truncated relation set.
     pub fn reattach(u: &Universe, relations: &[(String, Relation)]) -> Result<Facts, JeddError> {
         let attr = |name: &str| -> Result<jedd_core::AttrId, JeddError> {
-            u.find_attribute(name).ok_or_else(|| JeddError::InvalidRestore {
-                detail: format!("snapshot universe lacks attribute {name}"),
-            })
+            u.find_attribute(name)
+                .ok_or_else(|| JeddError::InvalidRestore {
+                    detail: format!("snapshot universe lacks attribute {name}"),
+                })
         };
         let phys = |name: &str| -> Result<PhysDomId, JeddError> {
-            u.find_physdom(name).ok_or_else(|| JeddError::InvalidRestore {
-                detail: format!("snapshot universe lacks physical domain {name}"),
-            })
+            u.find_physdom(name)
+                .ok_or_else(|| JeddError::InvalidRestore {
+                    detail: format!("snapshot universe lacks physical domain {name}"),
+                })
         };
         let rel = |name: &str| -> Result<Relation, JeddError> {
             relations

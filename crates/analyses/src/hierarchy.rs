@@ -42,7 +42,9 @@ pub fn compute_with(f: &Facts, strategy: Strategy) -> Result<Hierarchy, JeddErro
                 closure = next;
                 fp.end_round(&[]);
                 if done {
-                    return Ok(Hierarchy { subtype_of: closure });
+                    return Ok(Hierarchy {
+                        subtype_of: closure,
+                    });
                 }
             }
         }

@@ -138,7 +138,10 @@ impl Program {
 
     /// The immediate supertype of `t`, if any.
     pub fn supertype(&self, t: u32) -> Option<u32> {
-        self.extend.iter().find(|&&(s, _)| s == t).map(|&(_, sup)| sup)
+        self.extend
+            .iter()
+            .find(|&&(s, _)| s == t)
+            .map(|&(_, sup)| sup)
     }
 
     /// All supertypes of `t` including itself, walking to the root.

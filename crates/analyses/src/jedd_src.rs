@@ -69,8 +69,8 @@ mod tests {
     #[test]
     fn every_module_compiles() {
         for (name, src) in modules() {
-            let compiled = jeddc::compile(&src)
-                .unwrap_or_else(|e| panic!("{name} failed to compile: {e}"));
+            let compiled =
+                jeddc::compile(&src).unwrap_or_else(|e| panic!("{name} failed to compile: {e}"));
             let st = compiled.assignment.stats;
             assert!(st.exprs > 0, "{name} has expressions");
             assert_eq!(compiled.assignment.auto_pins, 0, "{name} fully annotated");

@@ -142,7 +142,11 @@ fn expect_analysis(rp: &BddResumePoint, analysis: &str) -> Result<(), JeddError>
 
 /// Reloads a checkpoint directory, verifies the analysis name, and
 /// rebuilds the [`Facts`] with the governor re-armed to `budget`.
-fn reopen(dir: &Path, analysis: &str, budget: Budget) -> Result<(BddResumePoint, Facts), PersistError> {
+fn reopen(
+    dir: &Path,
+    analysis: &str,
+    budget: Budget,
+) -> Result<(BddResumePoint, Facts), PersistError> {
     let rp = resume_latest_bdd(dir)?;
     expect_analysis(&rp, analysis)?;
     let f = Facts::reattach(&rp.universe, &rp.relations)?;
@@ -371,17 +375,16 @@ fn finish_callgraph(
     reach: &mut DeltaRel,
     fp: &mut Fixpoint,
 ) -> Result<(), PersistError> {
-    let extra = [
-        ("input.site_targets", site_targets),
-        ("input.edges", edges),
-    ];
+    let extra = [("input.site_targets", site_targets), ("input.edges", edges)];
     let spec = ClosureSpec {
         analysis: "callgraph",
         phase: 0,
         rule: "callees",
         extra: &extra,
     };
-    drive_closure(f, cp, &spec, reach, fp, &|d| callgraph::callees(f, edges, d))
+    drive_closure(f, cp, &spec, reach, fp, &|d| {
+        callgraph::callees(f, edges, d)
+    })
 }
 
 /// [`callgraph::build`] with checkpoints.

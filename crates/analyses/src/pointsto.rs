@@ -91,7 +91,10 @@ pub fn analyze_typed_with(
 pub(crate) fn typed_filter(f: &Facts, subtype_of: &Relation) -> Result<Relation, JeddError> {
     f.u.set_site("pointsto-filter");
     // (obj, ty) with ty renamed to subtype (already at a T domain).
-    let obj_sub = f.objtype.rename(f.ty, f.subtype)?.with_assignment(&[(f.subtype, f.t1)])?;
+    let obj_sub = f
+        .objtype
+        .rename(f.ty, f.subtype)?
+        .with_assignment(&[(f.subtype, f.t1)])?;
     // (obj, supertype) = obj_sub{subtype} <> subtypeOf{subtype}
     let obj_sup = obj_sub.compose(&[f.subtype], subtype_of, &[f.subtype])?;
     // (obj, ty) at T2, matching var_type's type position.
@@ -130,10 +133,7 @@ fn analyze_naive(
         }
     };
     let mut pt = filter(f.news.clone())?;
-    let mut field_pt = Relation::empty(
-        &f.u,
-        &[(f.baseobj, f.h2), (f.field, f.f1), (f.obj, f.h1)],
-    )?;
+    let mut field_pt = Relation::empty(&f.u, &[(f.baseobj, f.h2), (f.field, f.f1), (f.obj, f.h1)])?;
     let mut cg = Relation::empty(&f.u, &[(f.site, f.c1), (f.method, f.m1)])?;
     let mut edges = f.assigns.clone();
 
@@ -183,9 +183,7 @@ fn analyze_naive(
                 // (site, type) = site_objs{obj} <> objtype{obj}
                 site_objs.compose(&[f.obj], &f.objtype, &[f.obj])?
             }
-            CallGraphMode::AllTypes => {
-                Relation::full(&f.u, &[(f.site, f.c1), (f.ty, f.t1)])?
-            }
+            CallGraphMode::AllTypes => Relation::full(&f.u, &[(f.site, f.c1), (f.ty, f.t1)])?,
         };
         let cg_next = vcr::resolve(f, &site_types)?;
         f.u.set_site("pointsto");
@@ -215,9 +213,7 @@ fn analyze_naive(
         let new_edges = this_edges.union(&param_edges)?.union(&ret_edges)?;
         let edges_next = edges.union(&new_edges)?;
 
-        let done = pt_next.equals(&pt)?
-            && cg_next.equals(&cg)?
-            && edges_next.equals(&edges)?;
+        let done = pt_next.equals(&pt)? && cg_next.equals(&cg)? && edges_next.equals(&edges)?;
         pt = pt_next;
         cg = cg_next;
         edges = edges_next;
@@ -279,10 +275,7 @@ pub(crate) fn pt_init(f: &Facts, allowed: Option<&Relation>) -> Result<PtState, 
         pt: DeltaRel::new("pt", filtered(allowed, f.news.clone())?),
         field_pt: DeltaRel::new(
             "field_pt",
-            Relation::empty(
-                &f.u,
-                &[(f.baseobj, f.h2), (f.field, f.f1), (f.obj, f.h1)],
-            )?,
+            Relation::empty(&f.u, &[(f.baseobj, f.h2), (f.field, f.f1), (f.obj, f.h1)])?,
         ),
         cg: DeltaRel::new(
             "cg",
@@ -415,7 +408,11 @@ pub(crate) fn pt_round(
             let combined = if pt_new_is_all {
                 f.loads
                     .compose(&[f.base], &pt_base_new, &[f.var])?
-                    .compose(&[f.baseobj, f.field], field_pt.current(), &[f.baseobj, f.field])?
+                    .compose(
+                        &[f.baseobj, f.field],
+                        field_pt.current(),
+                        &[f.baseobj, f.field],
+                    )?
             } else {
                 // As with stores: two independent chains, Δ(base) and
                 // Δ(field_pt).
@@ -465,8 +462,7 @@ pub(crate) fn pt_round(
         CallGraphMode::AllTypes => {
             // Constant: every type at every site, staged once.
             if fp.rounds() == 0 {
-                site_types
-                    .stage(&Relation::full(&f.u, &[(f.site, f.c1), (f.ty, f.t1)])?)?;
+                site_types.stage(&Relation::full(&f.u, &[(f.site, f.c1), (f.ty, f.t1)])?)?;
             }
         }
     }
@@ -642,30 +638,16 @@ mod tests {
             let f = Facts::load(&p).unwrap();
             let bdd = analyze(&f, CallGraphMode::OnTheFly).unwrap();
             let sets = baseline_sets::points_to(&p);
-            let got: std::collections::BTreeSet<(u64, u64)> = bdd
-                .pt
-                .tuples()
-                .into_iter()
-                .map(|t| (t[0], t[1]))
-                .collect();
-            let expect: std::collections::BTreeSet<(u64, u64)> = sets
-                .pt
-                .iter()
-                .map(|&(v, o)| (v as u64, o as u64))
-                .collect();
+            let got: std::collections::BTreeSet<(u64, u64)> =
+                bdd.pt.tuples().into_iter().map(|t| (t[0], t[1])).collect();
+            let expect: std::collections::BTreeSet<(u64, u64)> =
+                sets.pt.iter().map(|&(v, o)| (v as u64, o as u64)).collect();
             assert_eq!(got, expect, "pt mismatch on {}", b.name());
             // cg column order is (method, site); normalise to (site, method).
-            let got_cg: std::collections::BTreeSet<(u64, u64)> = bdd
-                .cg
-                .tuples()
-                .into_iter()
-                .map(|t| (t[1], t[0]))
-                .collect();
-            let expect_cg: std::collections::BTreeSet<(u64, u64)> = sets
-                .cg
-                .iter()
-                .map(|&(s, m)| (s as u64, m as u64))
-                .collect();
+            let got_cg: std::collections::BTreeSet<(u64, u64)> =
+                bdd.cg.tuples().into_iter().map(|t| (t[1], t[0])).collect();
+            let expect_cg: std::collections::BTreeSet<(u64, u64)> =
+                sets.cg.iter().map(|&(s, m)| (s as u64, m as u64)).collect();
             assert_eq!(got_cg, expect_cg, "cg mismatch on {}", b.name());
         }
     }
@@ -731,12 +713,15 @@ mod strategy_tests {
         let p = Benchmark::Compress.generate();
         let f = Facts::load(&p).unwrap();
         let h = hierarchy::compute(&f).unwrap();
-        let naive =
-            analyze_typed_with(&f, CallGraphMode::OnTheFly, &h.subtype_of, Strategy::Naive)
-                .unwrap();
-        let semi =
-            analyze_typed_with(&f, CallGraphMode::OnTheFly, &h.subtype_of, Strategy::SemiNaive)
-                .unwrap();
+        let naive = analyze_typed_with(&f, CallGraphMode::OnTheFly, &h.subtype_of, Strategy::Naive)
+            .unwrap();
+        let semi = analyze_typed_with(
+            &f,
+            CallGraphMode::OnTheFly,
+            &h.subtype_of,
+            Strategy::SemiNaive,
+        )
+        .unwrap();
         assert!(semi.pt.equals(&naive.pt).unwrap());
         assert!(semi.field_pt.equals(&naive.field_pt).unwrap());
         assert!(semi.cg.equals(&naive.cg).unwrap());
@@ -762,9 +747,9 @@ mod strategy_tests {
 mod typed_tests {
     use super::*;
     use crate::baseline_sets;
+    use crate::facts::Facts;
     use crate::hierarchy;
     use crate::synth::Benchmark;
-    use crate::facts::Facts;
     use std::collections::BTreeSet;
 
     #[test]
@@ -781,11 +766,8 @@ mod typed_tests {
                 .into_iter()
                 .map(|t| (t[0], t[1]))
                 .collect();
-            let expect: BTreeSet<(u64, u64)> = sets
-                .pt
-                .iter()
-                .map(|&(v, o)| (v as u64, o as u64))
-                .collect();
+            let expect: BTreeSet<(u64, u64)> =
+                sets.pt.iter().map(|&(v, o)| (v as u64, o as u64)).collect();
             assert_eq!(got, expect, "typed pt mismatch on {}", b.name());
         }
     }

@@ -25,11 +25,7 @@ pub struct SideEffects {
 /// # Errors
 ///
 /// Propagates relational-layer errors.
-pub fn compute(
-    f: &Facts,
-    pt: &Relation,
-    edges: &Relation,
-) -> Result<SideEffects, JeddError> {
+pub fn compute(f: &Facts, pt: &Relation, edges: &Relation) -> Result<SideEffects, JeddError> {
     compute_with(f, pt, edges, Strategy::default())
 }
 
@@ -93,10 +89,7 @@ pub fn compute_with(
 /// `load_in`/`store_in` are `(method, base, field)`. Returns
 /// `(reads, writes)`. Shared by both strategies and the checkpointed
 /// driver.
-pub(crate) fn direct_effects(
-    f: &Facts,
-    pt: &Relation,
-) -> Result<(Relation, Relation), JeddError> {
+pub(crate) fn direct_effects(f: &Facts, pt: &Relation) -> Result<(Relation, Relation), JeddError> {
     let pt_base = pt
         .rename(f.obj, f.baseobj)?
         .with_assignment(&[(f.baseobj, f.h2)])?;
@@ -179,10 +172,6 @@ mod tests {
         assert!(se.reads_star.size() >= se.reads.size());
         assert!(se.writes_star.size() >= se.writes.size());
         // Direct ⊆ star as relations.
-        assert!(se
-            .reads
-            .minus(&se.reads_star)
-            .unwrap()
-            .is_empty());
+        assert!(se.reads.minus(&se.reads_star).unwrap().is_empty());
     }
 }

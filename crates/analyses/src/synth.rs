@@ -369,6 +369,9 @@ mod tests {
             .map(|t| p.supertype_chain(t).len())
             .max()
             .unwrap();
-        assert!(max_depth >= 4, "expected non-trivial chains, got {max_depth}");
+        assert!(
+            max_depth >= 4,
+            "expected non-trivial chains, got {max_depth}"
+        );
     }
 }

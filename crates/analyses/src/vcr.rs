@@ -47,18 +47,12 @@ pub fn resolve(f: &Facts, site_types: &Relation) -> Result<Relation, JeddError> 
 /// its site's signature and starts the walk at the receiver type itself
 /// (the paper's attribute-copy is implicit: `type` is copied into the
 /// cursor attribute `tgttype`); `answer` starts empty.
-pub(crate) fn init(
-    f: &Facts,
-    site_types: &Relation,
-) -> Result<(Relation, Relation), JeddError> {
+pub(crate) fn init(f: &Facts, site_types: &Relation) -> Result<(Relation, Relation), JeddError> {
     let with_sig = site_types.join(&[f.site], &f.site_sig, &[f.site])?;
     let to_resolve = with_sig
         .rename(f.ty, f.tgttype)?
         .with_assignment(&[(f.tgttype, f.t2)])?;
-    let answer = Relation::empty(
-        &f.u,
-        &[(f.site, f.c1), (f.method, f.m1)],
-    )?;
+    let answer = Relation::empty(&f.u, &[(f.site, f.c1), (f.method, f.m1)])?;
     Ok((to_resolve, answer))
 }
 
@@ -71,11 +65,7 @@ pub(crate) fn round(
     answer: &Relation,
 ) -> Result<(Relation, Relation), JeddError> {
     // resolved = toResolve{tgttype, signature} >< declares{type, signature}
-    let resolved = to_resolve.join(
-        &[f.tgttype, f.signature],
-        &f.declares,
-        &[f.ty, f.signature],
-    )?;
+    let resolved = to_resolve.join(&[f.tgttype, f.signature], &f.declares, &[f.ty, f.signature])?;
     // answer |= resolved (projected onto the output schema).
     let answer = answer.union(&resolved.project_onto(&[f.site, f.method])?)?;
     // toResolve -= (method=>) resolved.
@@ -158,12 +148,8 @@ mod tests {
         let mut p = fig4_program();
         p.declares.clear(); // nothing implements anything
         let f = Facts::load(&p).unwrap();
-        let site_types = Relation::from_tuples(
-            &f.u,
-            &[(f.site, f.c1), (f.ty, f.t1)],
-            &[vec![0, 2]],
-        )
-        .unwrap();
+        let site_types =
+            Relation::from_tuples(&f.u, &[(f.site, f.c1), (f.ty, f.t1)], &[vec![0, 2]]).unwrap();
         let answer = resolve(&f, &site_types).unwrap();
         assert!(answer.is_empty());
     }
@@ -200,8 +186,7 @@ mod tests {
         for t in answer.tuples() {
             let (m, site) = (t[0] as u32, t[1] as u32);
             let c = p.calls.iter().find(|c| c.site == site).unwrap();
-            let justified =
-                (0..p.types as u32).any(|ty| p.dispatch(ty, c.sig) == Some(m));
+            let justified = (0..p.types as u32).any(|ty| p.dispatch(ty, c.sig) == Some(m));
             assert!(justified, "answer ({site}, {m}) unjustified");
         }
     }

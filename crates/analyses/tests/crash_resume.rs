@@ -24,10 +24,7 @@ fn ts(r: &Relation) -> TupleSet {
 }
 
 fn tmpdir(name: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "jedd-crash-{name}-{}",
-        std::process::id()
-    ));
+    let d = std::env::temp_dir().join(format!("jedd-crash-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     std::fs::create_dir_all(&d).unwrap();
     d
@@ -261,14 +258,17 @@ fn torn_commit_falls_back_to_previous_checkpoint() {
         Some(StoreFaults::kill_log(commits, 6)),
         None,
     )
-    
     .expect_err("torn commit must kill the run");
     assert!(
         matches!(err, PersistError::Store(StoreError::Killed { .. })),
         "unexpected error: {err}"
     );
     let records = read_records(&dir.join(LOG_FILE)).unwrap();
-    assert_eq!(records.len() as u64, commits - 1, "torn record must not commit");
+    assert_eq!(
+        records.len() as u64,
+        commits - 1,
+        "torn record must not commit"
+    );
 
     let got = resume_run(Which::Hierarchy, &dir).unwrap();
     assert_eq!(got, expected);
@@ -324,9 +324,7 @@ fn zdd_closure_resumes_after_kill() {
     let _ = std::fs::remove_dir_all(&clean);
 
     let dir = tmpdir("zdd-kill");
-    let err = run(&dir, Some(StoreFaults::kill_rename(3)))
-        
-        .expect_err("rename kill must fire");
+    let err = run(&dir, Some(StoreFaults::kill_rename(3))).expect_err("rename kill must fire");
     assert!(matches!(
         err,
         PersistError::Store(StoreError::Killed { .. })
@@ -372,11 +370,10 @@ fn paged_run_killed_mid_eviction_resumes_tuple_identical() {
     );
     // The full typed pager error is parked on the manager, and maps into
     // the store's error vocabulary as the injected kill it is.
-    let page_err = f
-        .u
-        .bdd_manager()
-        .take_page_error()
-        .expect("pager error parked on the manager");
+    let page_err =
+        f.u.bdd_manager()
+            .take_page_error()
+            .expect("pager error parked on the manager");
     let as_store: StoreError = page_err.into();
     assert!(
         matches!(as_store, StoreError::Killed { at: "page-write" }),
@@ -403,7 +400,6 @@ fn exhausted_round_checkpoints_last_good_state() {
         None,
         Some(FailPlan::fail_alloc_at(400)),
     )
-    
     .expect_err("fail plan must kill the run");
     match &err {
         PersistError::Jedd(jedd_core::JeddError::ResourceExhausted { .. }) => {}

@@ -68,7 +68,16 @@ fn pointsto_static_replace_count_matches_profiler() {
 
     let compiled = jeddc::compile(&src).expect("compile");
     let mut exec = jeddc::Executor::new(&compiled).expect("executor");
-    for d in ["Type", "Signature", "Method", "Field", "Var", "Obj", "Site", "ParamIdx"] {
+    for d in [
+        "Type",
+        "Signature",
+        "Method",
+        "Field",
+        "Var",
+        "Obj",
+        "Site",
+        "ParamIdx",
+    ] {
         exec.bind_domain_size(d, 4).expect("bind domain");
     }
     let sink = Rc::new(ReplaceCounter(RefCell::new(0)));
@@ -76,7 +85,13 @@ fn pointsto_static_replace_count_matches_profiler() {
     // excluded from the count, then install the profiler.
     exec.prepare().expect("prepare");
     exec.universe().set_profiler(Some(sink.clone()));
-    for rule in ["ptInit", "ptStep", "ptFilterInit", "ptFilter", "ptStepTyped"] {
+    for rule in [
+        "ptInit",
+        "ptStep",
+        "ptFilterInit",
+        "ptFilter",
+        "ptStepTyped",
+    ] {
         exec.run(rule).expect(rule);
     }
     exec.universe().set_profiler(None);

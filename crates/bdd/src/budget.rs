@@ -326,7 +326,10 @@ mod tests {
             BddError::StepLimit { steps: 9, limit: 8 },
             BddError::Deadline,
             BddError::Cancelled,
-            BddError::FaultInjected { kind: "alloc", at: 3 },
+            BddError::FaultInjected {
+                kind: "alloc",
+                at: 3,
+            },
             BddError::InvalidPermutation {
                 var: 2,
                 kind: PermutationFlaw::DuplicateSource,

@@ -213,9 +213,8 @@ impl Bdd {
     /// Returns a [`crate::BddError`] when an installed budget, deadline,
     /// cancellation token or fail plan interrupts the operation.
     pub fn try_cofactor(&self, assignment: &[(u32, bool)]) -> Result<Bdd, crate::BddError> {
-        let id = crate::manager::run_governed(&self.mgr, |inner| {
-            inner.cofactor(self.id, assignment)
-        })?;
+        let id =
+            crate::manager::run_governed(&self.mgr, |inner| inner.cofactor(self.id, assignment))?;
         Ok(self.wrap(id))
     }
 }
@@ -286,10 +285,7 @@ mod cofactor_tests {
         assert_eq!(f.cofactor(&[(0, true)]), m.var(1).or(&m.var(2)));
         assert_eq!(f.cofactor(&[(0, false)]), m.var(2));
         assert_eq!(f.cofactor(&[(0, true), (1, true)]), m.constant_true());
-        assert_eq!(
-            f.cofactor(&[(0, false), (2, false)]),
-            m.constant_false()
-        );
+        assert_eq!(f.cofactor(&[(0, false), (2, false)]), m.constant_false());
         // Restricting a non-support variable is a no-op.
         assert_eq!(f.cofactor(&[(3, true)]), f);
     }

@@ -252,7 +252,9 @@ mod tests {
         // A rejected permutation is a caller mistake, not a budget
         // failure, and leaves the manager fully usable.
         assert_eq!(m.kernel_stats().budget_failures, 0);
-        let g = f.try_replace(&Permutation::from_pairs(&[(0, 4), (1, 5)])).unwrap();
+        let g = f
+            .try_replace(&Permutation::from_pairs(&[(0, 4), (1, 5)]))
+            .unwrap();
         assert_eq!(g, m.var(4).and(&m.var(5)));
     }
 
@@ -279,14 +281,7 @@ mod tests {
         let a = m.var(0).and(&m.var(1));
         let b = m.var(0);
         let c = m.var(2).or(&m.var(3));
-        for (x, y) in [
-            (&a, &b),
-            (&b, &a),
-            (&a, &c),
-            (&c, &a),
-            (&a, &a),
-            (&b, &c),
-        ] {
+        for (x, y) in [(&a, &b), (&b, &a), (&a, &c), (&c, &a), (&a, &a), (&b, &c)] {
             assert_eq!(
                 x.is_subset(y),
                 x.diff(y).is_false(),
@@ -593,8 +588,16 @@ mod tests {
         ));
         // Level-order violation: same variable as parent and child.
         let dup = vec![
-            ExportedNode { var: 2, low: 0, high: 1 },
-            ExportedNode { var: 2, low: 0, high: 2 },
+            ExportedNode {
+                var: 2,
+                low: 0,
+                high: 1,
+            },
+            ExportedNode {
+                var: 2,
+                low: 0,
+                high: 2,
+            },
         ];
         assert!(matches!(
             m.import_nodes(&dup, &[3]),

@@ -102,7 +102,10 @@ impl fmt::Display for BlockError {
             BlockError::BadMagic => write!(f, "bad block magic"),
             BlockError::BadVersion(v) => write!(f, "unsupported block version {v}"),
             BlockError::WrongBlock { expected, found } => {
-                write!(f, "block index mismatch: expected {expected}, found {found}")
+                write!(
+                    f,
+                    "block index mismatch: expected {expected}, found {found}"
+                )
             }
             BlockError::BadLength(n) => write!(f, "impossible payload length {n}"),
             BlockError::ChecksumMismatch => write!(f, "block checksum mismatch"),
@@ -147,7 +150,10 @@ pub fn encode_block(index: u32, entries: &[BlockEntry]) -> Vec<u8> {
     assert!(entries.len() <= BLOCK_NODES, "block overflow");
     let mut payload = Vec::with_capacity(entries.len() * ENTRY_BYTES);
     for e in entries {
-        debug_assert!(e.ext_refs & MARK_BIT == 0, "ext_refs overflow into mark bit");
+        debug_assert!(
+            e.ext_refs & MARK_BIT == 0,
+            "ext_refs overflow into mark bit"
+        );
         put_u32(&mut payload, e.level);
         put_u32(&mut payload, e.bot);
         put_u32(&mut payload, e.low);

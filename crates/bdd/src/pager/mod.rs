@@ -36,8 +36,8 @@
 mod block;
 
 pub use block::{
-    block_error_kind, decode_block, encode_block, BlockEntry, BlockError, BLOCK_BYTES,
-    BLOCK_NODES, ENTRY_BYTES, HEADER_BYTES,
+    block_error_kind, decode_block, encode_block, BlockEntry, BlockError, BLOCK_BYTES, BLOCK_NODES,
+    ENTRY_BYTES, HEADER_BYTES,
 };
 
 use crate::node::Node;
@@ -107,11 +107,24 @@ impl PageError {
 impl fmt::Display for PageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PageError::Io { op, block, path, source } => {
-                write!(f, "page {op} failed for block {block} of {}: {source}", path.display())
+            PageError::Io {
+                op,
+                block,
+                path,
+                source,
+            } => {
+                write!(
+                    f,
+                    "page {op} failed for block {block} of {}: {source}",
+                    path.display()
+                )
             }
             PageError::Corrupt { block, path, kind } => {
-                write!(f, "corrupt page block {block} in {}: {kind}", path.display())
+                write!(
+                    f,
+                    "corrupt page block {block} in {}: {kind}",
+                    path.display()
+                )
             }
             PageError::Killed { at, block } => {
                 write!(f, "injected kill during {at} of block {block}")

@@ -92,8 +92,12 @@ impl Inner {
             };
             // Reordering runs with the governor suspended (see
             // `reorder_sift`), so `mk` cannot fail here.
-            let new_lo = self.mk(l1, a, c).expect("reordering is exempt from budgets");
-            let new_hi = self.mk(l1, b, d).expect("reordering is exempt from budgets");
+            let new_lo = self
+                .mk(l1, a, c)
+                .expect("reordering is exempt from budgets");
+            let new_hi = self
+                .mk(l1, b, d)
+                .expect("reordering is exempt from budgets");
             debug_assert_ne!(new_lo, new_hi, "swap of a reduced node cannot collapse");
             let n = &mut self.nodes[id as usize];
             n.level = l0;
@@ -117,10 +121,7 @@ impl Inner {
         self.reset_buckets(len);
         for i in 2..self.nodes.len() {
             let n = self.nodes[i];
-            if n.level == TERMINAL_LEVEL
-                || n.level == FREE_LEVEL
-                || n.level == l0
-                || n.level == l1
+            if n.level == TERMINAL_LEVEL || n.level == FREE_LEVEL || n.level == l0 || n.level == l1
             {
                 continue;
             }
@@ -379,8 +380,8 @@ mod tests {
         let values: u64 = (buckets_before as u64 * 3 / 2) / 50 + 8;
         for value in 0..values {
             let mut acc = 1u32; // TRUE
-            // Varying bits sit at the deepest levels so the per-value
-            // chains share almost nothing and the node count is ~62/value.
+                                // Varying bits sit at the deepest levels so the per-value
+                                // chains share almost nothing and the node count is ~62/value.
             for level in (2..64u32).rev() {
                 let bit = (value >> (63 - level)) & 1 == 1;
                 acc = if bit {

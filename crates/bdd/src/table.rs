@@ -332,10 +332,12 @@ impl Inner {
                 reason: "paging requires an arena holding only terminals",
             });
         }
-        self.nodes.enable_paging(frames, dir).map_err(|e| BddError::Page {
-            block: e.block(),
-            kind: e.kind(),
-        })?;
+        self.nodes
+            .enable_paging(frames, dir)
+            .map_err(|e| BddError::Page {
+                block: e.block(),
+                kind: e.kind(),
+            })?;
         self.paged = self.nodes.is_paged();
         Ok(())
     }
@@ -864,7 +866,11 @@ impl Inner {
     #[inline]
     pub(crate) fn cache_store(&mut self, op: CacheOp, a: u32, b: u32, c: u32, result: u32) {
         if self.checks_active {
-            if let Some(k) = self.fail_plan.as_ref().and_then(|p| p.skip_cache_insert_every) {
+            if let Some(k) = self
+                .fail_plan
+                .as_ref()
+                .and_then(|p| p.skip_cache_insert_every)
+            {
                 self.cache_insert_count += 1;
                 if self.cache_insert_count.is_multiple_of(k) {
                     // Cache inserts are semantically optional; dropping one

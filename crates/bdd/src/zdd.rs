@@ -650,7 +650,11 @@ impl ZddManager {
                         reason: "child slot is not an earlier entry",
                     });
                 }
-                let child_var = if child < 2 { TERMINAL } else { vars[child as usize - 2] };
+                let child_var = if child < 2 {
+                    TERMINAL
+                } else {
+                    vars[child as usize - 2]
+                };
                 if n.var >= child_var {
                     return Err(BddError::InvalidImport {
                         index,

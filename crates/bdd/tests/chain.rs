@@ -190,7 +190,11 @@ fn chain_export_round_trips_across_modes() {
     let into_plain = BddManager::new(NVARS);
     let got = into_plain.import_nodes(&nodes, &roots).unwrap();
     assert_eq!(got[0].sat_assignments(&bits), p.sat_assignments(&bits));
-    assert_eq!(got[0].node_count(), p.node_count(), "expansion is the plain BDD");
+    assert_eq!(
+        got[0].node_count(),
+        p.node_count(),
+        "expansion is the plain BDD"
+    );
 
     // Plain -> chain: chain-aware mk re-forms the chains on import.
     let (pnodes, proots) = plain.export_nodes(&[&p]);
@@ -344,7 +348,11 @@ fn order_search_beats_bad_blocked_order() {
         after * 10 < before,
         "order search must collapse blocked equality: {before} -> {after}"
     );
-    assert_eq!(f.satcount_exact(), count_before_search, "function preserved");
+    assert_eq!(
+        f.satcount_exact(),
+        count_before_search,
+        "function preserved"
+    );
     assert!(m.kernel_stats().sift_sweeps >= 1, "sweeps are counted");
 }
 

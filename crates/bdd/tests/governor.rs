@@ -154,8 +154,14 @@ fn cache_entries_with_live_nodes_survive_gc() {
     let before = mgr.kernel_stats();
     mgr.gc();
     let swept = mgr.kernel_stats();
-    assert!(swept.cache_sweeps > before.cache_sweeps, "gc must sweep the cache");
-    assert!(swept.cache_entries_kept > 0, "live entries must survive the sweep");
+    assert!(
+        swept.cache_sweeps > before.cache_sweeps,
+        "gc must sweep the cache"
+    );
+    assert!(
+        swept.cache_entries_kept > 0,
+        "live entries must survive the sweep"
+    );
     // Replaying the operation now answers from the surviving cache: hits
     // grow, and the top-level entry resolves without a single new node.
     let nodes_before = swept.nodes_created;

@@ -5,8 +5,8 @@
 //! produces tuple-identical (in fact node-id-identical) results.
 
 use jedd_bdd::pager::{
-    decode_block, encode_block, BlockEntry, BlockError, PageError, Pager, PagerFaults,
-    BLOCK_BYTES, BLOCK_NODES, ENTRY_BYTES, HEADER_BYTES,
+    decode_block, encode_block, BlockEntry, BlockError, PageError, Pager, PagerFaults, BLOCK_BYTES,
+    BLOCK_NODES, ENTRY_BYTES, HEADER_BYTES,
 };
 use jedd_bdd::rng::XorShift64Star;
 use jedd_bdd::{Bdd, BddError, BddManager};
@@ -61,8 +61,7 @@ fn codec_rejects_every_single_byte_corruption() {
     for at in 0..BLOCK_BYTES {
         let mut bytes = clean.clone();
         bytes[at] ^= 1 << (at % 8);
-        let err = decode_block(7, &bytes)
-            .expect_err(&format!("flip at byte {at} must not decode"));
+        let err = decode_block(7, &bytes).expect_err(&format!("flip at byte {at} must not decode"));
         // Every corruption class maps to the expected typed error.
         match at {
             0..=3 => assert_eq!(err, BlockError::BadMagic, "byte {at}"),
@@ -213,7 +212,13 @@ fn failed_eviction_write_parks_a_typed_sticky_error() {
     assert_eq!(e.level, id as u32);
     let sticky = pager.take_sticky().expect("eviction failure parked");
     assert!(
-        matches!(sticky, PageError::Killed { at: "page-write", .. }),
+        matches!(
+            sticky,
+            PageError::Killed {
+                at: "page-write",
+                ..
+            }
+        ),
         "{sticky:?}"
     );
     assert_eq!(sticky.kind(), "killed");

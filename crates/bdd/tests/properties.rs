@@ -347,7 +347,10 @@ fn zdd_set_algebra() {
             got == model
         };
         assert!(check(z.union(a, b), ma.union(&mb).cloned().collect()));
-        assert!(check(z.intersect(a, b), ma.intersection(&mb).cloned().collect()));
+        assert!(check(
+            z.intersect(a, b),
+            ma.intersection(&mb).cloned().collect()
+        ));
         assert!(check(z.diff(a, b), ma.difference(&mb).cloned().collect()));
         assert_eq!(z.count(a), ma.len() as f64);
     }

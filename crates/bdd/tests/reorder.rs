@@ -100,7 +100,11 @@ fn sifting_then_replace_roundtrip() {
     assert_eq!(f.replace(&p_exchange), f);
     // A one-directional rename round-trips on a left-only function.
     let p = Permutation::from_pairs(
-        &left.iter().copied().zip(right.iter().copied()).collect::<Vec<_>>(),
+        &left
+            .iter()
+            .copied()
+            .zip(right.iter().copied())
+            .collect::<Vec<_>>(),
     );
     let g = m.encode_value(&left, 37);
     let h = g.replace(&p);

@@ -86,7 +86,11 @@ fn deep_replace_chain_with_gc() {
     let left: Vec<u32> = (0..16).collect();
     let right: Vec<u32> = (16..32).collect();
     let to_right = Permutation::from_pairs(
-        &left.iter().copied().zip(right.iter().copied()).collect::<Vec<_>>(),
+        &left
+            .iter()
+            .copied()
+            .zip(right.iter().copied())
+            .collect::<Vec<_>>(),
     );
     let to_left = to_right.inverse();
     let mut f = m.constant_false();

@@ -134,12 +134,18 @@ fn bench_chain_reduction(c: &mut Criterion) {
         // Chain reduction is a representation change only: identical
         // tuples, in the same number of rounds.
         for (rel, which) in [
-            (tuple_set(&plain.result.pt) == tuple_set(&chained.result.pt), "pt"),
+            (
+                tuple_set(&plain.result.pt) == tuple_set(&chained.result.pt),
+                "pt",
+            ),
             (
                 tuple_set(&plain.result.field_pt) == tuple_set(&chained.result.field_pt),
                 "field_pt",
             ),
-            (tuple_set(&plain.result.cg) == tuple_set(&chained.result.cg), "cg"),
+            (
+                tuple_set(&plain.result.cg) == tuple_set(&chained.result.cg),
+                "cg",
+            ),
         ] {
             assert!(rel, "{} mismatch on {}", which, b.name());
         }

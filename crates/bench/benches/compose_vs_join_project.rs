@@ -4,9 +4,9 @@
 //! (`and_exists`). This bench measures both forms of the same relational
 //! product on a transitive-closure step.
 
+use jedd_bdd::rng::XorShift64Star;
 use jedd_bench::criterion::Criterion;
 use jedd_core::{Relation, Universe};
-use jedd_bdd::rng::XorShift64Star;
 
 struct Setup {
     reach: Relation,
@@ -49,11 +49,7 @@ fn bench_compose(c: &mut Criterion) {
     let s = setup(1 << 10, 4000);
     let mut g = c.benchmark_group("relational_product");
     g.bench_function("compose_fused", |b| {
-        b.iter(|| {
-            s.reach
-                .compose(&[s.mid], &s.edge_mid, &[s.mid])
-                .unwrap()
-        })
+        b.iter(|| s.reach.compose(&[s.mid], &s.edge_mid, &[s.mid]).unwrap())
     });
     g.bench_function("join_then_project", |b| {
         b.iter(|| {

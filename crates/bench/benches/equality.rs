@@ -8,7 +8,12 @@ use jedd_core::{Relation, Universe};
 use std::collections::BTreeSet;
 
 /// Two equal BDD relations and two equal explicit sets of size `n`.
-type Fixtures = (Relation, Relation, BTreeSet<(u64, u64)>, BTreeSet<(u64, u64)>);
+type Fixtures = (
+    Relation,
+    Relation,
+    BTreeSet<(u64, u64)>,
+    BTreeSet<(u64, u64)>,
+);
 
 fn setup(n: u64) -> Fixtures {
     let u = Universe::new();

@@ -48,9 +48,7 @@ fn timed_paged(frames: usize) -> (f64, PointsTo, Facts) {
 fn bench_paged_capacity(c: &mut Criterion) {
     let mut g = c.benchmark_group("paged_capacity");
     g.sample_size(2);
-    g.bench_function("pointsto/resident", |b| {
-        b.iter(|| timed_resident().1)
-    });
+    g.bench_function("pointsto/resident", |b| b.iter(|| timed_resident().1));
     g.bench_function(&format!("pointsto/paged_{TINY_FRAMES}f"), |b| {
         b.iter(|| timed_paged(TINY_FRAMES).1)
     });
@@ -79,7 +77,11 @@ fn bench_paged_capacity(c: &mut Criterion) {
         let k = f.u.bdd_manager().kernel_stats();
         assert_eq!(k.page_faults, k.page_reads);
         assert!(k.page_evictions <= k.page_writes);
-        let label = if frames == 0 { "unbounded".to_string() } else { format!("{frames}f") };
+        let label = if frames == 0 {
+            "unbounded".to_string()
+        } else {
+            format!("{frames}f")
+        };
         if frames == TINY_FRAMES {
             tiny_s = secs;
             assert!(

@@ -12,10 +12,10 @@
 //! order-reversing permutation. Headline numbers land in the
 //! `JEDD_BENCH_JSON` report when that variable is set.
 
-use jedd_bench::criterion::Criterion;
-use jedd_bench::report::{write_section, JsonObject};
 use jedd_bdd::rng::XorShift64Star;
 use jedd_bdd::{Bdd, BddManager, Permutation};
+use jedd_bench::criterion::Criterion;
+use jedd_bench::report::{write_section, JsonObject};
 use jedd_core::{Relation, Universe};
 use std::time::Instant;
 
@@ -113,7 +113,11 @@ fn dense(mgr: &BddManager, rng: &mut XorShift64Star, terms: usize) -> Bdd {
         let mut t = mgr.constant_true();
         for _ in 0..8 {
             let v = rng.gen_range(0..16) as u32;
-            let lit = if rng.gen_bool(0.5) { mgr.var(v) } else { mgr.nvar(v) };
+            let lit = if rng.gen_bool(0.5) {
+                mgr.var(v)
+            } else {
+                mgr.nvar(v)
+            };
             t = t.and(&lit);
         }
         f = f.or(&t);
@@ -176,7 +180,9 @@ fn bench_kernel_replace(c: &mut Criterion) {
 
     // Headline JSON: fresh managers so each path's counters are its own.
     let runs = 50;
-    let mut section = JsonObject::new().int("terms", terms as u64).int("runs", runs as u64);
+    let mut section = JsonObject::new()
+        .int("terms", terms as u64)
+        .int("runs", runs as u64);
     for (label, perm) in [("shift", shift_perm()), ("reversal", reversal_perm())] {
         let (direct_s, mgr, _r) =
             timed_runs(terms, runs, |f, p| f.try_replace(p).expect("valid"), &perm);

@@ -57,10 +57,7 @@ fn bench_sifting(c: &mut Criterion) {
             .int("search_before", search_before as u64)
             .int("search_after", search_after as u64)
             .float("search_s", search_s)
-            .int(
-                "sift_sweeps",
-                mgr2.kernel_stats().sift_sweeps,
-            ),
+            .int("sift_sweeps", mgr2.kernel_stats().sift_sweeps),
     );
 }
 

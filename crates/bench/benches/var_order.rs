@@ -44,7 +44,9 @@ fn bench_var_order(c: &mut Criterion) {
         nodes_b > nodes_i * 10,
         "blocked ({nodes_b}) should dwarf interleaved ({nodes_i})"
     );
-    eprintln!("equality over {BITS}-bit vectors: interleaved {nodes_i} nodes, blocked {nodes_b} nodes");
+    eprintln!(
+        "equality over {BITS}-bit vectors: interleaved {nodes_i} nodes, blocked {nodes_b} nodes"
+    );
     write_section(
         "var_order",
         &JsonObject::new()

@@ -4,9 +4,9 @@
 //! BDD and ZDD kernels and compares build + set-algebra time and node
 //! counts.
 
-use jedd_bench::criterion::Criterion;
-use jedd_bdd::{BddManager, ZddManager};
 use jedd_bdd::rng::XorShift64Star;
+use jedd_bdd::{BddManager, ZddManager};
+use jedd_bench::criterion::Criterion;
 
 const VAR_BITS: usize = 10;
 const OBJ_BITS: usize = 9;
@@ -30,7 +30,9 @@ fn build_bdd(pairs: &[(u64, u64)]) -> usize {
     let obits: Vec<u32> = (VAR_BITS as u32..(VAR_BITS + OBJ_BITS) as u32).collect();
     let mut rel = mgr.constant_false();
     for &(v, o) in pairs {
-        rel = rel.or(&mgr.encode_value(&vbits, v).and(&mgr.encode_value(&obits, o)));
+        rel = rel.or(&mgr
+            .encode_value(&vbits, v)
+            .and(&mgr.encode_value(&obits, o)));
     }
     rel.node_count()
 }
@@ -51,8 +53,12 @@ fn bench_zdd(c: &mut Criterion) {
     let ps = pairs();
     let mut g = c.benchmark_group("sparse_relation_backend");
     g.sample_size(10);
-    g.bench_function("bdd_build", |b| b.iter(|| build_bdd(std::hint::black_box(&ps))));
-    g.bench_function("zdd_build", |b| b.iter(|| build_zdd(std::hint::black_box(&ps))));
+    g.bench_function("bdd_build", |b| {
+        b.iter(|| build_bdd(std::hint::black_box(&ps)))
+    });
+    g.bench_function("zdd_build", |b| {
+        b.iter(|| build_zdd(std::hint::black_box(&ps)))
+    });
     g.finish();
     let (bn, zn) = (build_bdd(&ps), build_zdd(&ps));
     eprintln!("sparse relation of {PAIRS} tuples: BDD {bn} nodes, ZDD {zn} nodes");

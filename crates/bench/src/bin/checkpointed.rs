@@ -15,12 +15,12 @@
 //!     --checkpoint-dir /tmp/jedd-ckpt --analysis pointsto --resume
 //! ```
 
+use jedd_analyses::callgraph;
 use jedd_analyses::facts::Facts;
 use jedd_analyses::ir::Program;
 use jedd_analyses::persist::{self, PersistError};
 use jedd_analyses::pointsto::{self, CallGraphMode};
 use jedd_analyses::synth::Benchmark;
-use jedd_analyses::callgraph;
 use jedd_core::{Budget, Relation};
 use jedd_store::{CheckpointPolicy, Checkpointer};
 use std::path::PathBuf;
@@ -89,7 +89,13 @@ fn parse_args() -> Args {
         }
     }
     let Some(dir) = dir else { usage() };
-    Args { dir, analysis, benchmark, resume, max_nodes }
+    Args {
+        dir,
+        analysis,
+        benchmark,
+        resume,
+        max_nodes,
+    }
 }
 
 /// Every receiver type at every site: a deterministic demo input for
@@ -197,7 +203,10 @@ fn main() -> ExitCode {
     let mut cp = match Checkpointer::create(&args.dir, CheckpointPolicy::default()) {
         Ok(cp) => cp,
         Err(e) => {
-            eprintln!("checkpointed: cannot open store in {}: {e}", args.dir.display());
+            eprintln!(
+                "checkpointed: cannot open store in {}: {e}",
+                args.dir.display()
+            );
             return ExitCode::FAILURE;
         }
     };

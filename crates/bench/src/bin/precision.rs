@@ -19,16 +19,13 @@ fn main() {
         // skipped row rather than aborting the experiment.
         let run = || -> Result<_, Box<dyn std::error::Error>> {
             let f1 = Facts::load(&p)?;
-            let (untyped, t_untyped) =
-                jedd_bench::timed(|| analyze(&f1, CallGraphMode::OnTheFly));
+            let (untyped, t_untyped) = jedd_bench::timed(|| analyze(&f1, CallGraphMode::OnTheFly));
             let untyped = untyped?;
             let f2 = Facts::load(&p)?;
-            let (typed, t_typed) = jedd_bench::timed(
-                || -> Result<_, jedd_core::JeddError> {
-                    let h = hierarchy::compute(&f2)?;
-                    analyze_typed(&f2, CallGraphMode::OnTheFly, &h.subtype_of)
-                },
-            );
+            let (typed, t_typed) = jedd_bench::timed(|| -> Result<_, jedd_core::JeddError> {
+                let h = hierarchy::compute(&f2)?;
+                analyze_typed(&f2, CallGraphMode::OnTheFly, &h.subtype_of)
+            });
             Ok((untyped, typed?, t_untyped, t_typed))
         };
         let (untyped, typed, t_untyped, t_typed) = match run() {

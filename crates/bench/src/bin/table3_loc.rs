@@ -31,7 +31,10 @@ fn main() {
         jedd_total += loc;
         rows.push(vec![name.to_string(), loc.to_string()]);
     }
-    rows.push(vec!["all five (mini-Jedd total)".into(), jedd_total.to_string()]);
+    rows.push(vec![
+        "all five (mini-Jedd total)".into(),
+        jedd_total.to_string(),
+    ]);
     rows.push(vec![
         "all five (explicit-set Rust, baseline_sets.rs)".into(),
         baseline_loc.to_string(),

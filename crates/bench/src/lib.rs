@@ -146,9 +146,8 @@ pub fn table2_rows() -> Vec<Table2Row> {
                     continue 'bench;
                 }
             };
-            let (r, s) = timed(|| {
-                jedd_analyses::pointsto::analyze(&facts, CallGraphMode::OnTheFly)
-            });
+            let (r, s) =
+                timed(|| jedd_analyses::pointsto::analyze(&facts, CallGraphMode::OnTheFly));
             let r = match r {
                 Ok(r) => r,
                 Err(e) => {
@@ -161,14 +160,11 @@ pub fn table2_rows() -> Vec<Table2Row> {
         }
         let Some(rel) = rel else { continue };
         let raw_pairs = raw.pt_pairs();
-        let rel_pairs: Vec<(u64, u64)> = rel
-            .pt
-            .tuples()
-            .into_iter()
-            .map(|t| (t[0], t[1]))
-            .collect();
+        let rel_pairs: Vec<(u64, u64)> =
+            rel.pt.tuples().into_iter().map(|t| (t[0], t[1])).collect();
         assert_eq!(
-            raw_pairs, rel_pairs,
+            raw_pairs,
+            rel_pairs,
             "hand-coded and relational must agree on {}",
             b.name()
         );

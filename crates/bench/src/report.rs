@@ -106,7 +106,9 @@ pub fn write_section(name: &str, section: &JsonObject) {
     if path.is_empty() {
         return;
     }
-    let run = std::env::var("JEDD_BENCH_RUN").ok().filter(|r| !r.is_empty());
+    let run = std::env::var("JEDD_BENCH_RUN")
+        .ok()
+        .filter(|r| !r.is_empty());
     let rendered = stamp_run(&section.render(), run.as_deref());
     let merged = match std::fs::read_to_string(&path) {
         Ok(existing) => merge_into(&existing, name, &rendered, run.as_deref()),
@@ -249,7 +251,12 @@ mod tests {
         let doc = "{\"parallel_apply\":{\"run\":\"r1\",\"speedup\":0.65},\
                    \"apply\":{\"run\":\"r1\",\"ms\":3}}";
         // The first section run r2 writes sweeps every r1 group out...
-        let first = merge_into(doc, "apply", &stamp_run("{\"ms\":2}", Some("r2")), Some("r2"));
+        let first = merge_into(
+            doc,
+            "apply",
+            &stamp_run("{\"ms\":2}", Some("r2")),
+            Some("r2"),
+        );
         assert_eq!(first.trim(), "{\"apply\":{\"run\":\"r2\",\"ms\":2}}");
         // ...and later sections of the same run accumulate normally.
         let second = merge_into(

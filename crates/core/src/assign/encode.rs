@@ -2,9 +2,7 @@
 //! clause types 1–7) and unsat-core-based error reporting (§3.3.3).
 
 use super::paths::enumerate_flow_paths;
-use super::problem::{
-    AssignError, AssignmentProblem, AssignmentStats, OccId, PhysId, Solution,
-};
+use super::problem::{AssignError, AssignmentProblem, AssignmentStats, OccId, PhysId, Solution};
 use jedd_sat::{Lit, SatOutcome, Solver, Var};
 use std::time::Instant;
 
@@ -72,11 +70,12 @@ impl AssignmentProblem {
         // One variable per flow path.
         let pivars: Vec<Var> = solver.new_vars(paths.len());
 
-        let mut add = |solver: &mut Solver, tags: &mut Vec<ClauseTag>, lits: &[Lit], tag: ClauseTag| {
-            solver.add_clause(lits);
-            tags.push(tag);
-            literals += lits.len();
-        };
+        let mut add =
+            |solver: &mut Solver, tags: &mut Vec<ClauseTag>, lits: &[Lit], tag: ClauseTag| {
+                solver.add_clause(lits);
+                tags.push(tag);
+                literals += lits.len();
+            };
 
         // 1. Each attribute is assigned to some physical domain.
         for o in 0..n_occs {
@@ -149,7 +148,10 @@ impl AssignmentProblem {
         // 6. At least one flow path to each occurrence is active.
         for (o, endpoint_paths) in by_endpoint.iter().enumerate() {
             let occ = OccId(o as u32);
-            let lits: Vec<Lit> = endpoint_paths.iter().map(|&pi| pivars[pi].positive()).collect();
+            let lits: Vec<Lit> = endpoint_paths
+                .iter()
+                .map(|&pi| pivars[pi].positive())
+                .collect();
             add(&mut solver, &mut tags, &lits, ClauseTag::FlowExists(occ));
         }
         // 7. Active flow paths force their physical domain along the path.
@@ -196,11 +198,9 @@ impl AssignmentProblem {
                 // every unsatisfiable core contains a conflict clause;
                 // report the first one in the paper's format.
                 let core = solver.unsat_core();
-                let conflict = core.iter().find_map(|cid| {
-                    match &tags[cid.0 as usize] {
-                        ClauseTag::Conflict(a, b, p) => Some((*a, *b, *p)),
-                        _ => None,
-                    }
+                let conflict = core.iter().find_map(|cid| match &tags[cid.0 as usize] {
+                    ClauseTag::Conflict(a, b, p) => Some((*a, *b, *p)),
+                    _ => None,
                 });
                 if let Some((a, b, p)) = conflict {
                     let (ea, eb) = (self.occ_expr(a), self.occ_expr(b));

@@ -91,10 +91,7 @@ pub(crate) fn enumerate_flow_paths(
                 }
                 for &nb in &adj[end.0 as usize] {
                     if !path.contains(&nb)
-                        && kept
-                            .get(&(nb.0 as usize, phys))
-                            .copied()
-                            .unwrap_or(0)
+                        && kept.get(&(nb.0 as usize, phys)).copied().unwrap_or(0)
                             < MAX_PATHS_PER_ENDPOINT_PER_DOMAIN
                     {
                         let mut p2 = path.clone();
@@ -212,7 +209,10 @@ mod tests {
         p.add_assignment(a, b);
         p.add_assignment(b, c);
         let (paths, by_endpoint) = enumerate_flow_paths(&p);
-        let mid: Vec<&FlowPath> = by_endpoint[b.0 as usize].iter().map(|&i| &paths[i]).collect();
+        let mid: Vec<&FlowPath> = by_endpoint[b.0 as usize]
+            .iter()
+            .map(|&i| &paths[i])
+            .collect();
         assert_eq!(mid.len(), 2);
         let physes: Vec<PhysId> = mid.iter().map(|fp| fp.phys).collect();
         assert!(physes.contains(&t1) && physes.contains(&t2));

@@ -123,10 +123,12 @@ impl Relation {
     /// Returns an error if `from` is absent, `to` already present, or the
     /// attributes draw from different domains.
     pub fn rename(&self, from: AttrId, to: AttrId) -> Result<Relation, JeddError> {
-        let p = self.physdom_of(from).ok_or_else(|| JeddError::NoSuchAttribute {
-            attribute: self.universe.attribute_name(from),
-            op: "rename",
-        })?;
+        let p = self
+            .physdom_of(from)
+            .ok_or_else(|| JeddError::NoSuchAttribute {
+                attribute: self.universe.attribute_name(from),
+                op: "rename",
+            })?;
         if from != to && self.physdom_of(to).is_some() {
             return Err(JeddError::DuplicateAttribute {
                 attribute: self.universe.attribute_name(to),
@@ -472,7 +474,10 @@ impl Relation {
         let o = self.align_for_combine(self_attrs, other, other_attrs, "compose", false)?;
         let mut cube_bits: Vec<u32> = Vec::new();
         for &a in self_attrs {
-            cube_bits.extend(self.universe.physdom_bits(self.physdom_of(a).expect("validated")));
+            cube_bits.extend(
+                self.universe
+                    .physdom_bits(self.physdom_of(a).expect("validated")),
+            );
         }
         let mgr = self.universe.bdd_manager();
         let bdd = self.profiled("compose", &[&self.bdd, &o.bdd], || {
@@ -506,10 +511,12 @@ impl Relation {
     ///
     /// Returns an error if `attr` is absent or `value` out of range.
     pub fn select(&self, attr: AttrId, value: u64) -> Result<Relation, JeddError> {
-        let p = self.physdom_of(attr).ok_or_else(|| JeddError::NoSuchAttribute {
-            attribute: self.universe.attribute_name(attr),
-            op: "select",
-        })?;
+        let p = self
+            .physdom_of(attr)
+            .ok_or_else(|| JeddError::NoSuchAttribute {
+                attribute: self.universe.attribute_name(attr),
+                op: "select",
+            })?;
         let single = Relation::tuple(&self.universe, &[(attr, p, value)])?;
         self.join(&[attr], &single, &[attr])
     }

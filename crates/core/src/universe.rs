@@ -34,12 +34,8 @@ macro_rules! id_index {
                 self.0
             }
 
-            #[doc = concat!(
-                "Reconstructs a ",
-                $what,
-                " id from a raw registry index (snapshot restore only; the \
-                 caller must know the index is registered)."
-            )]
+            #[doc = concat!("Reconstructs a ", $what, " id from a raw registry index")]
+            #[doc = "(snapshot restore only; the caller must know the index is registered)."]
             pub fn from_index(index: u32) -> $ty {
                 $ty(index)
             }

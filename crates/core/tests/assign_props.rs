@@ -22,7 +22,9 @@ struct RawProblem {
 }
 
 fn raw_problem(rng: &mut XorShift64Star) -> RawProblem {
-    let exprs: Vec<usize> = (0..rng.gen_index(1..6)).map(|_| rng.gen_index(1..4)).collect();
+    let exprs: Vec<usize> = (0..rng.gen_index(1..6))
+        .map(|_| rng.gen_index(1..4))
+        .collect();
     let n_phys = rng.gen_index(2..5);
     let pairs = |rng: &mut XorShift64Star, lo: usize, hi: usize, m: usize| -> Vec<(usize, usize)> {
         (0..rng.gen_index(lo..hi))
@@ -56,7 +58,13 @@ fn build(raw: &RawProblem) -> Built {
     let mut occs = Vec::new();
     let mut conflicts = Vec::new();
     for (ei, &n) in raw.exprs.iter().enumerate() {
-        let e = p.add_expr(&format!("e{ei}"), SourcePos { line: ei as u32 + 1, col: 1 });
+        let e = p.add_expr(
+            &format!("e{ei}"),
+            SourcePos {
+                line: ei as u32 + 1,
+                col: 1,
+            },
+        );
         let first = occs.len();
         for ai in 0..n {
             occs.push(p.add_occurrence(e, &format!("a{ai}")));
@@ -173,7 +181,10 @@ fn solutions_satisfy_all_constraints() {
             Err(AssignError::Conflict { physdom, .. }) => {
                 // The reported conflict names a real physical domain.
                 let known = (0..raw.n_phys).any(|i| format!("P{i}") == physdom);
-                assert!(known, "conflict names an unknown physical domain, case {case}");
+                assert!(
+                    known,
+                    "conflict names an unknown physical domain, case {case}"
+                );
             }
             Err(AssignError::Inconsistent { .. }) => {
                 // Only possible when some occurrence participates in more

@@ -185,7 +185,11 @@ fn figure3_literal_and_display() {
     // new { newtype=>type, newsig=>signature, newmethod=>method }
     let t = Relation::tuple(
         &f.u,
-        &[(f.ty, f.t2, A), (f.signature, f.s1, FOO), (f.method, f.m1, A_FOO)],
+        &[
+            (f.ty, f.t2, A),
+            (f.signature, f.s1, FOO),
+            (f.method, f.m1, A_FOO),
+        ],
     )
     .unwrap();
     assert_eq!(t.size(), 1);

@@ -435,7 +435,10 @@ pub fn assign_named(
             match b.problem.solve() {
                 Ok(sol) => return Ok(b.to_assignment(sol, pins + rounds)),
                 Err(AssignError::Conflict {
-                    expr_b, pos_b, attr_b, ..
+                    expr_b,
+                    pos_b,
+                    attr_b,
+                    ..
                 }) if rounds < 64 => {
                     // Pin the second conflicting attribute to a fresh
                     // domain, as the paper tells the programmer to do.
@@ -468,12 +471,7 @@ pub fn assign_named(
 }
 
 impl<'a> Builder<'a> {
-    fn find_occ(
-        &self,
-        expr_label: &str,
-        pos: SourcePos,
-        attr: &str,
-    ) -> Option<OccId> {
+    fn find_occ(&self, expr_label: &str, pos: SourcePos, attr: &str) -> Option<OccId> {
         for o in 0..self.problem.num_occurrences() {
             let occ = OccId(o as u32);
             let e = self.problem.occ_expr(occ);
@@ -488,11 +486,7 @@ impl<'a> Builder<'a> {
         None
     }
 
-    fn to_assignment(
-        &self,
-        sol: jedd_core::assign::Solution,
-        auto_pins: usize,
-    ) -> Assignment {
+    fn to_assignment(&self, sol: jedd_core::assign::Solution, auto_pins: usize) -> Assignment {
         let mut out = Assignment {
             auto_pins,
             stats: sol.stats(),
@@ -539,7 +533,8 @@ impl<'a> Builder<'a> {
                 out.physdom_names.push(self.prog.physdoms[i].name.clone());
                 out.physdom_groups.push(self.prog.physdoms[i].group);
             } else {
-                out.physdom_names.push(self.problem.physdom_name(self.phys[i]).to_string());
+                out.physdom_names
+                    .push(self.problem.physdom_name(self.phys[i]).to_string());
                 out.physdom_groups.push(None);
             }
         }
@@ -550,7 +545,8 @@ impl<'a> Builder<'a> {
                 .expect("physdom registered") as PdIdx
         };
         for (&(eid, a), &occ) in &self.expr_occ {
-            out.expr_pd.insert((eid, a), phys_to_pd(sol.physdom_of(occ)));
+            out.expr_pd
+                .insert((eid, a), phys_to_pd(sol.physdom_of(occ)));
         }
         for (&(eid, i), &occ) in &self.cmp_occ {
             out.cmp_pd.insert((eid, i), phys_to_pd(sol.physdom_of(occ)));

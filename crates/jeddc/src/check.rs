@@ -426,10 +426,7 @@ impl Checker {
     /// checking the "no relation may have two instances of one attribute"
     /// rule.
     /// Returns `(sorted schema, written attribute order)`.
-    fn check_schema_ast(
-        &self,
-        schema: &ast::SchemaAst,
-    ) -> Result<ResolvedSchema, CompileError> {
+    fn check_schema_ast(&self, schema: &ast::SchemaAst) -> Result<ResolvedSchema, CompileError> {
         let mut out: Vec<(AttrIdx, Option<PdIdx>)> = Vec::new();
         for (attr, pd) in &schema.attrs {
             let Some(aidx) = self.prog.attr_idx(attr) else {
@@ -528,9 +525,12 @@ impl Checker {
                 let tinit = match init {
                     Some(e) => match self.check_expr(e, Some(&attrs), locals) {
                         Ok(te) => {
-                            if let Err(e2) =
-                                self.require_same_schema(&attrs, &te.schema, te.pos, "initialisation")
-                            {
+                            if let Err(e2) = self.require_same_schema(
+                                &attrs,
+                                &te.schema,
+                                te.pos,
+                                "initialisation",
+                            ) {
                                 self.errors.push(e2);
                             }
                             Some(te)
@@ -737,10 +737,9 @@ impl Checker {
                         return Err(self.err(pos, format!("unknown attribute `{attr}`")));
                     };
                     if schema.contains(&aidx) {
-                        return Err(self.err(
-                            pos,
-                            format!("attribute `{attr}` appears twice in literal"),
-                        ));
+                        return Err(
+                            self.err(pos, format!("attribute `{attr}` appears twice in literal"))
+                        );
                     }
                     schema.push(aidx);
                     let pidx = match pd {
@@ -753,8 +752,8 @@ impl Checker {
                         LiteralObj::Index(n) => TLiteralObj::Index(*n),
                         LiteralObj::Label(l) => {
                             // Resolve against enumerated domains now.
-                            let dom =
-                                &self.prog.domains[self.prog.attributes[aidx as usize].domain as usize];
+                            let dom = &self.prog.domains
+                                [self.prog.attributes[aidx as usize].domain as usize];
                             match &dom.spec {
                                 DomainSpec::Enumerated(els) => {
                                     match els.iter().position(|x| x == l) {
@@ -803,7 +802,9 @@ impl Checker {
                 };
                 for r in replacements {
                     let from_name = match r {
-                        Replacement::Project(a) | Replacement::Rename(a, _) | Replacement::Copy(a, _, _) => a,
+                        Replacement::Project(a)
+                        | Replacement::Rename(a, _)
+                        | Replacement::Copy(a, _, _) => a,
                     };
                     let from = lookup(self, from_name)?;
                     if !t.contains(&from) {
@@ -817,10 +818,9 @@ impl Checker {
                         ));
                     }
                     if sources.contains(&from) {
-                        return Err(self.err(
-                            pos,
-                            format!("attribute `{from_name}` replaced twice"),
-                        ));
+                        return Err(
+                            self.err(pos, format!("attribute `{from_name}` replaced twice"))
+                        );
                     }
                     sources.push(from);
                     match r {
@@ -834,7 +834,11 @@ impl Checker {
                 // Result schema: (T \ sources) ∪ targets, all disjoint.
                 let mut schema: Vec<AttrIdx> =
                     t.iter().copied().filter(|a| !sources.contains(a)).collect();
-                let add_target = |c: &Checker, schema: &mut Vec<AttrIdx>, to: AttrIdx, from: AttrIdx| -> Result<(), CompileError> {
+                let add_target = |c: &Checker,
+                                  schema: &mut Vec<AttrIdx>,
+                                  to: AttrIdx,
+                                  from: AttrIdx|
+                 -> Result<(), CompileError> {
                     // Domains must match: the objects do not change.
                     let (fd, td) = (
                         c.prog.attributes[from as usize].domain,
@@ -904,7 +908,10 @@ impl Checker {
                         ),
                     ));
                 }
-                let resolve_list = |c: &Checker, names: &[String], schema: &[AttrIdx]| -> Result<Vec<AttrIdx>, CompileError> {
+                let resolve_list = |c: &Checker,
+                                    names: &[String],
+                                    schema: &[AttrIdx]|
+                 -> Result<Vec<AttrIdx>, CompileError> {
                     let mut out = Vec::new();
                     for n in names {
                         let Some(a) = c.prog.attr_idx(n) else {

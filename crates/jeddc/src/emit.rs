@@ -213,12 +213,7 @@ impl<'a> Emitter<'a> {
                     .iter()
                     .map(|(obj, a, _)| {
                         let pd = self.assignment.expr_pd[&(e.id, *a)];
-                        format!(
-                            "{:?} => {}:{}",
-                            obj,
-                            self.attr_name(*a),
-                            self.pd_name(pd)
-                        )
+                        format!("{:?} => {}:{}", obj, self.attr_name(*a), self.pd_name(pd))
                     })
                     .collect();
                 let _ = writeln!(

@@ -294,8 +294,7 @@ impl Executor {
     pub fn bind_domain_elements(&mut self, name: &str, labels: &[&str]) -> Result<(), ExecError> {
         let i = self.deferred_domain(name, labels.len() as u64)?;
         self.domain_sizes[i as usize] = Some(labels.len() as u64);
-        self.domain_elements[i as usize] =
-            Some(labels.iter().map(|s| s.to_string()).collect());
+        self.domain_elements[i as usize] = Some(labels.iter().map(|s| s.to_string()).collect());
         Ok(())
     }
 
@@ -369,8 +368,10 @@ impl Executor {
                     let members: Vec<usize> = (0..a.physdom_names.len())
                         .filter(|&j| a.physdom_groups[j] == Some(g))
                         .collect();
-                    let names: Vec<&str> =
-                        members.iter().map(|&j| a.physdom_names[j].as_str()).collect();
+                    let names: Vec<&str> = members
+                        .iter()
+                        .map(|&j| a.physdom_names[j].as_str())
+                        .collect();
                     let width = members.iter().map(|&j| widths[j]).max().unwrap_or(1);
                     let ids = self
                         .universe
@@ -478,7 +479,10 @@ impl Executor {
             .iter()
             .map(|&w| {
                 let aid = self.attr_id(w);
-                *schema.iter().find(|&&(a, _)| a == aid).expect("written attr")
+                *schema
+                    .iter()
+                    .find(|&&(a, _)| a == aid)
+                    .expect("written attr")
             })
             .collect();
         let rel = Relation::from_tuples(&self.universe, &ordered, tuples)?;
@@ -905,7 +909,11 @@ impl Executor {
 
     /// Moves a relation onto an expression node's assigned physical
     /// domains, counting any real replace work.
-    fn conform(&mut self, r: Relation, target: &[(AttrId, PhysDomId)]) -> Result<Relation, ExecError> {
+    fn conform(
+        &mut self,
+        r: Relation,
+        target: &[(AttrId, PhysDomId)],
+    ) -> Result<Relation, ExecError> {
         let mut moves = Vec::new();
         for &(a, p) in target {
             if r.physdom_of(a) != Some(p) {

@@ -190,35 +190,59 @@ pub fn lex_with_allows(src: &str) -> Result<(Vec<Token>, Vec<Allow>), CompileErr
                 }
             }
             '>' if chars.get(i + 1) == Some(&'<') => {
-                out.push(Token { tok: Tok::JoinSym, pos: p });
+                out.push(Token {
+                    tok: Tok::JoinSym,
+                    pos: p,
+                });
                 i += 2;
             }
             '<' if chars.get(i + 1) == Some(&'>') => {
-                out.push(Token { tok: Tok::ComposeSym, pos: p });
+                out.push(Token {
+                    tok: Tok::ComposeSym,
+                    pos: p,
+                });
                 i += 2;
             }
             '=' if chars.get(i + 1) == Some(&'>') => {
-                out.push(Token { tok: Tok::Arrow, pos: p });
+                out.push(Token {
+                    tok: Tok::Arrow,
+                    pos: p,
+                });
                 i += 2;
             }
             '=' if chars.get(i + 1) == Some(&'=') => {
-                out.push(Token { tok: Tok::EqEq, pos: p });
+                out.push(Token {
+                    tok: Tok::EqEq,
+                    pos: p,
+                });
                 i += 2;
             }
             '!' if chars.get(i + 1) == Some(&'=') => {
-                out.push(Token { tok: Tok::NotEq, pos: p });
+                out.push(Token {
+                    tok: Tok::NotEq,
+                    pos: p,
+                });
                 i += 2;
             }
             '|' if chars.get(i + 1) == Some(&'=') => {
-                out.push(Token { tok: Tok::OrAssign, pos: p });
+                out.push(Token {
+                    tok: Tok::OrAssign,
+                    pos: p,
+                });
                 i += 2;
             }
             '&' if chars.get(i + 1) == Some(&'=') => {
-                out.push(Token { tok: Tok::AndAssign, pos: p });
+                out.push(Token {
+                    tok: Tok::AndAssign,
+                    pos: p,
+                });
                 i += 2;
             }
             '-' if chars.get(i + 1) == Some(&'=') => {
-                out.push(Token { tok: Tok::MinusAssign, pos: p });
+                out.push(Token {
+                    tok: Tok::MinusAssign,
+                    pos: p,
+                });
                 i += 2;
             }
             '<' | '>' | '(' | ')' | '{' | '}' | ',' | ';' | ':' | '=' | '|' | '&' | '-' => {

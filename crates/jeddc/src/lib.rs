@@ -64,9 +64,10 @@ pub mod lex;
 pub mod lint;
 pub mod parse;
 
+pub use delta::{DeltaPlan, Fallback, StmtPlan};
 pub use diag::{CompileError, Diagnostic, JeddcError, Pos, Severity};
 pub use emit::emit_java_like;
-pub use delta::{DeltaPlan, Fallback, StmtPlan};
 pub use exec::{
-    compile, compile_auto, compile_named, CompiledProgram, ExecError, Executor, RuleStats, StmtStats,
+    compile, compile_auto, compile_named, CompiledProgram, ExecError, Executor, RuleStats,
+    StmtStats,
 };

@@ -107,9 +107,7 @@ pub fn definite_assignment(prog: &TypedProgram, rule: &TRule, out: &mut Vec<Diag
                             severity: Severity::Warning,
                             lint: Some("definite-assignment"),
                             pos: *pos,
-                            message: format!(
-                                "relation `{name}` may be read before it is assigned"
-                            ),
+                            message: format!("relation `{name}` may be read before it is assigned"),
                             suggestion: Some(format!(
                                 "give `{name}` an initialiser, or assign it on every path \
                                  before this read"
@@ -139,7 +137,10 @@ pub fn definite_assignment(prog: &TypedProgram, rule: &TRule, out: &mut Vec<Diag
 fn transfer_assigned(events: &[Event], state: &mut VarSet) {
     for ev in events {
         match ev {
-            Event::Decl { var, init: true, .. } | Event::Store { var, .. } => state.insert(*var),
+            Event::Decl {
+                var, init: true, ..
+            }
+            | Event::Store { var, .. } => state.insert(*var),
             _ => {}
         }
     }
@@ -167,7 +168,9 @@ pub fn liveness(prog: &TypedProgram, rule: &TRule, out: &mut Vec<Diagnostic>) {
     }
     let mut never_read = VarSet::empty(n);
     for (i, v) in prog.vars.iter().enumerate() {
-        let Some(pos) = declared_here[i] else { continue };
+        let Some(pos) = declared_here[i] else {
+            continue;
+        };
         if v.global || read_anywhere.contains(i as VarIdx) {
             continue;
         }
@@ -222,9 +225,7 @@ pub fn liveness(prog: &TypedProgram, rule: &TRule, out: &mut Vec<Diagnostic>) {
                             severity: Severity::Warning,
                             lint: Some("dead-store"),
                             pos: *pos,
-                            message: format!(
-                                "value stored to `{name}` is never read"
-                            ),
+                            message: format!("value stored to `{name}` is never read"),
                             suggestion: Some("remove this assignment".to_string()),
                         });
                     }
@@ -239,9 +240,7 @@ pub fn liveness(prog: &TypedProgram, rule: &TRule, out: &mut Vec<Diagnostic>) {
                                 severity: Severity::Warning,
                                 lint: Some("dead-store"),
                                 pos: *pos,
-                                message: format!(
-                                    "initialiser of `{name}` is never read"
-                                ),
+                                message: format!("initialiser of `{name}` is never read"),
                                 suggestion: Some(
                                     "drop the initialiser or use its value".to_string(),
                                 ),

@@ -138,9 +138,7 @@ mod tests {
             ),
             None,
         );
-        assert!(diags
-            .iter()
-            .any(|d| d.lint == Some("definite-assignment")));
+        assert!(diags.iter().any(|d| d.lint == Some("definite-assignment")));
     }
 
     #[test]
@@ -153,9 +151,7 @@ mod tests {
             ),
             None,
         );
-        assert!(!diags
-            .iter()
-            .any(|d| d.lint == Some("definite-assignment")));
+        assert!(!diags.iter().any(|d| d.lint == Some("definite-assignment")));
     }
 
     #[test]
@@ -169,9 +165,7 @@ mod tests {
             ),
             None,
         );
-        assert!(!diags
-            .iter()
-            .any(|d| d.lint == Some("definite-assignment")));
+        assert!(!diags.iter().any(|d| d.lint == Some("definite-assignment")));
     }
 
     #[test]
@@ -196,10 +190,7 @@ mod tests {
     #[test]
     fn pushdown_fires_on_join_then_project_compared() {
         let ls = lints_of("gac = (b=>) (gab {b} >< gbc {b});");
-        assert!(
-            ls.iter().any(|(l, _)| l == "projection-pushdown"),
-            "{ls:?}"
-        );
+        assert!(ls.iter().any(|(l, _)| l == "projection-pushdown"), "{ls:?}");
         // The compose spelling is the suggested rewrite and is silent.
         let ls = lints_of("gac = gab {b} <> gbc {b};");
         assert!(
@@ -210,9 +201,7 @@ mod tests {
 
     #[test]
     fn allow_suppresses_on_same_or_next_line() {
-        let src = format!(
-            "{DECLS} rule r {{\n// jedd:allow(redundant-op)\nga = ga | 0B;\n}}"
-        );
+        let src = format!("{DECLS} rule r {{\n// jedd:allow(redundant-op)\nga = ga | 0B;\n}}");
         let prog = crate::parse::parse(&src).expect("parse");
         let typed = crate::check::check(&prog).expect("check");
         let diags = lint_program(&typed, None);

@@ -67,9 +67,7 @@ fn expr(prog: &TypedProgram, e: &TExpr, out: &mut Vec<Diagnostic>) {
                 is_join: true,
             } = &operand.kind
             {
-                report(
-                    prog, e, projects, left, left_attrs, right, right_attrs, out,
-                );
+                report(prog, e, projects, left, left_attrs, right, right_attrs, out);
             }
         }
     }
@@ -94,11 +92,7 @@ fn report(
     right_attrs: &[AttrIdx],
     out: &mut Vec<Diagnostic>,
 ) {
-    let compared: Vec<AttrIdx> = left_attrs
-        .iter()
-        .chain(right_attrs)
-        .copied()
-        .collect();
+    let compared: Vec<AttrIdx> = left_attrs.iter().chain(right_attrs).copied().collect();
     let name = |a: AttrIdx| prog.attributes[a as usize].name.clone();
 
     // All compared attributes projected away right after the join: the

@@ -82,10 +82,7 @@ fn expr(prog: &TypedProgram, e: &TExpr, out: &mut Vec<Diagnostic>) {
                     );
                 }
             }
-            if projects.is_empty()
-                && copies.is_empty()
-                && renames.iter().all(|&(f, t)| f == t)
-            {
+            if projects.is_empty() && copies.is_empty() && renames.iter().all(|&(f, t)| f == t) {
                 warn(
                     out,
                     e.pos,
@@ -138,8 +135,7 @@ fn expr(prog: &TypedProgram, e: &TExpr, out: &mut Vec<Diagnostic>) {
                         "replace the whole expression with `1B`".to_string(),
                     );
                 }
-                (SetOp::Intersect, TExprKind::Full, _)
-                | (SetOp::Intersect, _, TExprKind::Full) => {
+                (SetOp::Intersect, TExprKind::Full, _) | (SetOp::Intersect, _, TExprKind::Full) => {
                     warn(
                         out,
                         e.pos,

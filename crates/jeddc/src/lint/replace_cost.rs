@@ -86,11 +86,8 @@ pub fn replace_cost(prog: &TypedProgram, assignment: &Assignment, out: &mut Vec<
     // Candidate re-pins: for every broken edge touching a declaration
     // occurrence, try moving that declaration to the physical domain on
     // the far side of the edge.
-    let occ_to_var: HashMap<OccId, (VarIdx, AttrIdx)> = assignment
-        .var_occ
-        .iter()
-        .map(|(&k, &o)| (o, k))
-        .collect();
+    let occ_to_var: HashMap<OccId, (VarIdx, AttrIdx)> =
+        assignment.var_occ.iter().map(|(&k, &o)| (o, k)).collect();
     let mut candidates: Vec<(VarIdx, AttrIdx, OccId, PhysId)> = Vec::new();
     for (a, b) in problem.broken_assignment_edges(sol) {
         for (this, other) in [(a, b), (b, a)] {

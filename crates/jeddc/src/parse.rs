@@ -392,9 +392,9 @@ impl Parser {
                 Tok::JoinSym => true,
                 Tok::ComposeSym => false,
                 other => {
-                    return Err(
-                        self.error(format!("expected `><` or `<>` after attribute list, found {other}"))
-                    )
+                    return Err(self.error(format!(
+                        "expected `><` or `<>` after attribute list, found {other}"
+                    )))
                 }
             };
             self.bump();
@@ -562,11 +562,17 @@ mod tests {
         ));
         assert!(matches!(
             &p.decls[1],
-            Decl::Domain { spec: DomainSpec::Fixed(1024), .. }
+            Decl::Domain {
+                spec: DomainSpec::Fixed(1024),
+                ..
+            }
         ));
         assert!(matches!(
             &p.decls[2],
-            Decl::Domain { spec: DomainSpec::Deferred, .. }
+            Decl::Domain {
+                spec: DomainSpec::Deferred,
+                ..
+            }
         ));
         assert!(matches!(
             &p.decls[5],
@@ -599,19 +605,35 @@ mod tests {
         };
         assert_eq!(schema.attrs.len(), 3);
         assert!(matches!(init, Some(Expr::Replace { .. })));
-        let Stmt::DoWhile { body: loop_body, cond, .. } = &body[1] else {
+        let Stmt::DoWhile {
+            body: loop_body,
+            cond,
+            ..
+        } = &body[1]
+        else {
             panic!("expected do-while");
         };
         assert_eq!(loop_body.len(), 4);
         assert!(!cond.eq);
         // The join in the loop.
-        let Stmt::Local { schema, init: Some(Expr::JoinLike { is_join, left_attrs, .. }), .. } =
-            &loop_body[0]
+        let Stmt::Local {
+            schema,
+            init:
+                Some(Expr::JoinLike {
+                    is_join,
+                    left_attrs,
+                    ..
+                }),
+            ..
+        } = &loop_body[0]
         else {
             panic!("expected join local");
         };
         assert!(*is_join);
-        assert_eq!(left_attrs, &vec!["tgttype".to_string(), "signature".to_string()]);
+        assert_eq!(
+            left_attrs,
+            &vec!["tgttype".to_string(), "signature".to_string()]
+        );
         assert_eq!(schema.attrs[0].1.as_deref(), Some("T1"));
     }
 
@@ -622,7 +644,11 @@ mod tests {
         let Decl::Rule { body, .. } = &p.decls[0] else {
             panic!()
         };
-        let Stmt::Assign { expr: Expr::Literal { fields, .. }, .. } = &body[0] else {
+        let Stmt::Assign {
+            expr: Expr::Literal { fields, .. },
+            ..
+        } = &body[0]
+        else {
             panic!("expected literal assignment")
         };
         assert_eq!(fields.len(), 2);
@@ -642,10 +668,21 @@ mod tests {
         let Stmt::Assign { expr, .. } = &body[0] else {
             panic!()
         };
-        let Expr::SetOp { op: SetOp::Minus, left, .. } = expr else {
+        let Expr::SetOp {
+            op: SetOp::Minus,
+            left,
+            ..
+        } = expr
+        else {
             panic!("outermost should be -")
         };
-        assert!(matches!(**left, Expr::SetOp { op: SetOp::Intersect, .. }));
+        assert!(matches!(
+            **left,
+            Expr::SetOp {
+                op: SetOp::Intersect,
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -655,13 +692,19 @@ mod tests {
         let Decl::Rule { body, .. } = &p.decls[0] else {
             panic!()
         };
-        let Stmt::Assign { expr: Expr::Replace { replacements, .. }, .. } = &body[0] else {
+        let Stmt::Assign {
+            expr: Expr::Replace { replacements, .. },
+            ..
+        } = &body[0]
+        else {
             panic!()
         };
         assert_eq!(replacements.len(), 3);
         assert!(matches!(&replacements[0], Replacement::Project(a) if a == "a"));
         assert!(matches!(&replacements[1], Replacement::Rename(b, c) if b == "b" && c == "c"));
-        assert!(matches!(&replacements[2], Replacement::Copy(d, e, f) if d == "d" && e == "e" && f == "f"));
+        assert!(
+            matches!(&replacements[2], Replacement::Copy(d, e, f) if d == "d" && e == "e" && f == "f")
+        );
     }
 
     #[test]
@@ -693,7 +736,15 @@ mod tests {
         let Decl::Rule { body, .. } = &p.decls[0] else {
             panic!()
         };
-        let Stmt::Assign { expr: Expr::JoinLike { is_join: false, left, .. }, .. } = &body[0]
+        let Stmt::Assign {
+            expr:
+                Expr::JoinLike {
+                    is_join: false,
+                    left,
+                    ..
+                },
+            ..
+        } = &body[0]
         else {
             panic!("outermost should be compose")
         };

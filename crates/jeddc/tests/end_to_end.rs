@@ -99,14 +99,21 @@ fn figure4_unresolvable_call_drops_out() {
 fn assignment_stats_populated() {
     let compiled = compile(FIG4).unwrap();
     let st = compiled.assignment.stats;
-    assert!(st.exprs > 10, "Fig. 4 has many subexpressions: {}", st.exprs);
+    assert!(
+        st.exprs > 10,
+        "Fig. 4 has many subexpressions: {}",
+        st.exprs
+    );
     assert!(st.attrs > st.exprs, "multiple attrs per expr");
     assert_eq!(st.physdoms, 5);
     assert!(st.conflict > 0);
     assert!(st.equality > 0);
     assert!(st.assignment > 0);
     assert!(st.sat_vars > 0 && st.sat_clauses > 0 && st.sat_literals > 0);
-    assert_eq!(compiled.assignment.auto_pins, 0, "paper's annotations suffice");
+    assert_eq!(
+        compiled.assignment.auto_pins, 0,
+        "paper's annotations suffice"
+    );
 }
 
 #[test]
@@ -200,7 +207,10 @@ fn section_3_3_3_conflict_error_through_language() {
     let msg = e.to_string();
     assert!(msg.contains("Conflict between"), "{msg}");
     assert!(msg.contains("over physical domain T1"), "{msg}");
-    assert!(msg.contains("rectype") && msg.contains("supertype"), "{msg}");
+    assert!(
+        msg.contains("rectype") && msg.contains("supertype"),
+        "{msg}"
+    );
 }
 
 #[test]
@@ -308,7 +318,8 @@ fn deferred_domains_bound_at_runtime() {
     let compiled = compile(src).expect("closure program compiles");
     let mut exec = Executor::new(&compiled).unwrap();
     exec.bind_domain_size("Node", 16).unwrap();
-    exec.set_input("edge", &[vec![0, 1], vec![1, 2], vec![2, 3]]).unwrap();
+    exec.set_input("edge", &[vec![0, 1], vec![1, 2], vec![2, 3]])
+        .unwrap();
     exec.run("closure").unwrap();
     let reach = exec.tuples("reach").unwrap();
     assert_eq!(reach.len(), 6, "full transitive closure of the chain");
@@ -377,7 +388,14 @@ fn emitted_java_roundtrip_structure() {
     // and per local, and the loop structure survives.
     let compiled = compile(FIG4).unwrap();
     let java = emit_java_like(&compiled);
-    for name in ["receiverTypes", "declaresMethod", "extend", "answer", "toResolve", "resolved"] {
+    for name in [
+        "receiverTypes",
+        "declaresMethod",
+        "extend",
+        "answer",
+        "toResolve",
+        "resolved",
+    ] {
         assert!(
             java.contains(&format!("RelationContainer {name}")),
             "missing container for {name}"

@@ -341,7 +341,10 @@ fn naive_strategy_never_takes_the_delta_path() {
 fn static_report_names_the_statements_that_never_run_on_deltas() {
     let compiled = compile_auto(DELTA_SRC).unwrap();
     let report = compiled.plan.render(&compiled.typed);
-    assert!(report.starts_with("delta_statements 5\nfull_statements 2\n"), "{report}");
+    assert!(
+        report.starts_with("delta_statements 5\nfull_statements 2\n"),
+        "{report}"
+    );
     for line in [
         "statement proj 12,17 out = delta",
         "statement grow 14,17 acc |= delta",

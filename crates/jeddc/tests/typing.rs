@@ -263,8 +263,10 @@ fn unknown_attribute_in_schema_reported() {
 
 #[test]
 fn duplicate_rule_rejected() {
-    let err = compile(&format!("{DECLS}\nrule r {{ ra = ra; }}\nrule r {{ ra = ra; }}"))
-        .unwrap_err();
+    let err = compile(&format!(
+        "{DECLS}\nrule r {{ ra = ra; }}\nrule r {{ ra = ra; }}"
+    ))
+    .unwrap_err();
     assert!(err.to_string().contains("duplicate rule"), "{err}");
 }
 
@@ -292,7 +294,10 @@ fn check_all_reports_every_independent_error() {
     // mismatch, and the x/rb initialiser mismatch. The final statement
     // (a correct use of the recovered local `x`) adds none.
     assert_eq!(errs.len(), 3, "{errs:?}");
-    assert!(errs[0].message.contains("unknown relation `nosuch`"), "{errs:?}");
+    assert!(
+        errs[0].message.contains("unknown relation `nosuch`"),
+        "{errs:?}"
+    );
     assert!(errs[1].message.contains("schema mismatch"), "{errs:?}");
     assert!(errs[2].message.contains("schema mismatch"), "{errs:?}");
     // Errors come back in source order.
@@ -318,7 +323,10 @@ fn bad_local_schema_does_not_cascade() {
     let prog = jeddc::parse::parse(&src).unwrap();
     let errs = jeddc::check::check_all(&prog).unwrap_err();
     assert_eq!(errs.len(), 1, "{errs:?}");
-    assert!(errs[0].message.contains("unknown attribute `zz`"), "{errs:?}");
+    assert!(
+        errs[0].message.contains("unknown attribute `zz`"),
+        "{errs:?}"
+    );
 }
 
 // --- domain declarations ---------------------------------------------
@@ -332,7 +340,9 @@ fn zero_size_domain_is_rejected_at_its_declaration() {
     let errs = jeddc::check::check_all(&prog).unwrap_err();
     assert_eq!(errs.len(), 1, "{errs:?}");
     assert!(
-        errs[0].message.contains("domain `D` must contain at least one object"),
+        errs[0]
+            .message
+            .contains("domain `D` must contain at least one object"),
         "{errs:?}"
     );
     assert_eq!((errs[0].pos.line, errs[0].pos.col), (2, 1));

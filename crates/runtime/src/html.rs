@@ -9,7 +9,9 @@ use jedd_core::OpEvent;
 use std::fmt::Write as _;
 
 fn esc(s: &str) -> String {
-    s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;")
+    s.replace('&', "&amp;")
+        .replace('<', "&lt;")
+        .replace('>', "&gt;")
 }
 
 /// Renders a self-contained HTML document for the given profiler's data.
@@ -86,9 +88,7 @@ pub fn render_html_with_kernel(profiler: &Profiler, kernel: Option<&KernelStats>
                 e.operand_nodes,
                 e.result_nodes
             );
-            if e.shape.is_some()
-                && best_shape.is_none_or(|b| e.result_nodes > b.result_nodes)
-            {
+            if e.shape.is_some() && best_shape.is_none_or(|b| e.result_nodes > b.result_nodes) {
                 best_shape = Some(e);
             }
         }
@@ -234,7 +234,10 @@ fn kernel_section(k: &KernelStats) -> String {
         "<table><tr><th class=l>operation</th><th>cache lookups</th>\
          <th>cache hits</th><th>hit rate</th></tr>"
     );
-    for (name, s) in KernelStats::CACHE_OP_NAMES.iter().zip(k.per_op_cache.iter()) {
+    for (name, s) in KernelStats::CACHE_OP_NAMES
+        .iter()
+        .zip(k.per_op_cache.iter())
+    {
         if s.lookups == 0 {
             continue;
         }
@@ -263,11 +266,7 @@ fn kernel_section(k: &KernelStats) -> String {
         "<h3>Paging</h3>\
          <p>{} page faults ({} block reads), {} evictions \
          ({} block writes), peak {} resident frames.</p>",
-        k.page_faults,
-        k.page_reads,
-        k.page_evictions,
-        k.page_writes,
-        k.page_max_resident
+        k.page_faults, k.page_reads, k.page_evictions, k.page_writes, k.page_max_resident
     );
     let avg_chain = if k.chain_nodes_created == 0 {
         0.0
@@ -483,8 +482,14 @@ mod tests {
         assert!(html.contains("Fixpoint rounds"));
         assert!(html.contains("stores 4.2"), "rule timing rendered");
         assert!(html.contains("Δpt 25"), "delta tuple count rendered");
-        assert!(html.contains("resolve 1.5"), "second round keeps its own rules");
-        assert!(html.contains("pointsto-copy"), "inner driver listed separately");
+        assert!(
+            html.contains("resolve 1.5"),
+            "second round keeps its own rules"
+        );
+        assert!(
+            html.contains("pointsto-copy"),
+            "inner driver listed separately"
+        );
     }
 
     #[test]

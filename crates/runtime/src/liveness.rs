@@ -96,8 +96,7 @@ impl LivenessCfg {
                     out.extend(live_in[s].iter().cloned());
                 }
                 // in = uses ∪ (out \ defs)
-                let mut inn: BTreeSet<String> =
-                    self.stmts[i].uses.iter().cloned().collect();
+                let mut inn: BTreeSet<String> = self.stmts[i].uses.iter().cloned().collect();
                 for v in &out {
                     if !self.stmts[i].defs.contains(v) {
                         inn.insert(v.clone());

@@ -170,7 +170,10 @@ mod tests {
         assert_eq!(s.len(), 3);
         // Sorted by total time: union(400) first.
         assert_eq!(s[0].op, "union");
-        let join_row = s.iter().find(|r| r.op == "join" && r.site == "resolve").unwrap();
+        let join_row = s
+            .iter()
+            .find(|r| r.op == "join" && r.site == "resolve")
+            .unwrap();
         assert_eq!(join_row.count, 2);
         assert_eq!(join_row.total_nanos, 150);
         assert_eq!(join_row.max_operand_nodes, 20);

@@ -156,7 +156,10 @@ mod tests {
         let cnf = parse_dimacs("c comment\np cnf 3 2\n1 -2 0\n2 3 0\n").unwrap();
         assert_eq!(cnf.num_vars, 3);
         assert_eq!(cnf.clauses.len(), 2);
-        assert_eq!(cnf.clauses[0], vec![Lit::from_dimacs(1), Lit::from_dimacs(-2)]);
+        assert_eq!(
+            cnf.clauses[0],
+            vec![Lit::from_dimacs(1), Lit::from_dimacs(-2)]
+        );
     }
 
     #[test]

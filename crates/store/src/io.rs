@@ -109,7 +109,8 @@ pub(crate) fn append_synced(
         let _ = f.sync_all();
         return Err(StoreError::Killed { at: "log-append" });
     }
-    f.write_all(bytes).map_err(|e| io_err("append to", path, e))?;
+    f.write_all(bytes)
+        .map_err(|e| io_err("append to", path, e))?;
     f.sync_all().map_err(|e| io_err("sync", path, e))?;
     sync_dir(path);
     Ok(())
@@ -144,7 +145,12 @@ mod tests {
         let p = d.join("file.bin");
         write_atomic(&p, b"old-content", None, false).unwrap();
         let e = write_atomic(&p, b"new-content", Some(4), false).unwrap_err();
-        assert!(matches!(e, StoreError::Killed { at: "snapshot-write" }));
+        assert!(matches!(
+            e,
+            StoreError::Killed {
+                at: "snapshot-write"
+            }
+        ));
         assert_eq!(std::fs::read(&p).unwrap(), b"old-content");
         // The torn temp file is what a crash would leave.
         assert_eq!(std::fs::read(p.with_extension("tmp")).unwrap(), b"new-");

@@ -120,7 +120,8 @@ impl<'a> Cursor<'a> {
     fn str(&mut self, what: &str) -> Result<String, StoreError> {
         let len = self.u32(what)? as usize;
         let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| self.malformed(format!("{what} is not UTF-8")))
+        String::from_utf8(bytes.to_vec())
+            .map_err(|_| self.malformed(format!("{what} is not UTF-8")))
     }
 
     /// A count followed by that many fixed-size entries must fit in the

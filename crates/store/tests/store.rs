@@ -220,10 +220,7 @@ fn checkpoint_and_resume_latest() {
         assert_eq!(rp.relation(name).expect(name).tuples(), original.tuples());
     }
     // Stats were restored from the record.
-    assert_eq!(
-        rp.universe.stats().relational_ops,
-        u.stats().relational_ops
-    );
+    assert_eq!(rp.universe.stats().relational_ops, u.stats().relational_ops);
     // Pruning kept exactly the last two snapshots.
     assert!(!d.join("snap-0").exists());
     assert!(d.join("snap-1").exists());
@@ -568,7 +565,10 @@ fn cbdd_snapshot_round_trips_and_keeps_backend() {
     let psnap = decode_bdd_snapshot(&pbytes, Path::new("mem")).unwrap();
     assert_eq!(psnap.universe.backend(), Backend::Bdd);
     for (name, original) in &rels {
-        assert_eq!(psnap.relation(name).expect(name).tuples(), original.tuples());
+        assert_eq!(
+            psnap.relation(name).expect(name).tuples(),
+            original.tuples()
+        );
     }
 }
 
@@ -675,13 +675,19 @@ fn order_record_round_trips_and_survives_corruption_sweep() {
     // An order record is not a snapshot and vice versa.
     assert!(matches!(
         decode_bdd_snapshot(&bytes, Path::new("mem")),
-        Err(StoreError::BadHeader { reason: "not a BDD snapshot", .. })
+        Err(StoreError::BadHeader {
+            reason: "not a BDD snapshot",
+            ..
+        })
     ));
     let (u, rels) = sample_universe();
     let snap_bytes = encode_bdd_snapshot(&u, &as_refs(&rels));
     assert!(matches!(
         decode_order_record(&snap_bytes, Path::new("mem")),
-        Err(StoreError::BadHeader { reason: "not a learned-order record", .. })
+        Err(StoreError::BadHeader {
+            reason: "not a learned-order record",
+            ..
+        })
     ));
     // The single-byte corruption sweep extends to the new record kind: a
     // flip is a typed error or decodes to exactly the original order.
@@ -720,7 +726,11 @@ fn order_record_rejects_non_permutations() {
 /// An order record whose backend byte is `tag`, hand-built from a tag-0
 /// record by patching that byte and recomputing the payload checksum.
 fn order_record_with_tag(tag: u8) -> Vec<u8> {
-    let record = OrderRecord { analysis: "pt".into(), backend: Backend::Bdd, level2var: vec![2, 0, 1] };
+    let record = OrderRecord {
+        analysis: "pt".into(),
+        backend: Backend::Bdd,
+        level2var: vec![2, 0, 1],
+    };
     let mut bytes = encode_order_record(&record);
     // Header: magic 4 · version 4 · kind 1 · payload length 8 · CRC32 4;
     // the payload opens with the length-prefixed analysis name "pt".
@@ -734,15 +744,27 @@ fn order_record_with_tag(tag: u8) -> Vec<u8> {
 fn order_records_with_retired_zdd_tags_decode_as_their_kernel() {
     // Tags 1 and 3 named the ZDD-accounted variants of the plain and the
     // chained kernel; orders learned under them load as those kernels.
-    for (tag, kernel) in [(0, Backend::Bdd), (1, Backend::Bdd), (2, Backend::Cbdd), (3, Backend::Cbdd)] {
+    for (tag, kernel) in [
+        (0, Backend::Bdd),
+        (1, Backend::Bdd),
+        (2, Backend::Cbdd),
+        (3, Backend::Cbdd),
+    ] {
         let got = decode_order_record(&order_record_with_tag(tag), Path::new("mem"))
             .unwrap_or_else(|e| panic!("tag {tag} must decode: {e}"));
-        assert_eq!((got.backend, &got.level2var[..]), (kernel, &[2, 0, 1][..]), "tag {tag}");
+        assert_eq!(
+            (got.backend, &got.level2var[..]),
+            (kernel, &[2, 0, 1][..]),
+            "tag {tag}"
+        );
     }
     for tag in [4, 5, 0x7f, u8::MAX] {
         let err = decode_order_record(&order_record_with_tag(tag), Path::new("mem"))
             .expect_err("an unknown backend tag must not decode");
-        assert!(matches!(err, StoreError::Malformed { .. }), "tag {tag}: {err}");
+        assert!(
+            matches!(err, StoreError::Malformed { .. }),
+            "tag {tag}: {err}"
+        );
     }
 }
 
@@ -757,8 +779,7 @@ fn order_record_file_round_trip() {
     let path = d.join("hierarchy-jedit.order");
     save_order_record(&path, &record).unwrap();
     assert_eq!(load_order_record(&path).unwrap(), record);
-    let err = load_order_record(&d.join("absent.order"))
-        .expect_err("absent file must be Io");
+    let err = load_order_record(&d.join("absent.order")).expect_err("absent file must be Io");
     assert!(matches!(err, StoreError::Io { .. }), "{err}");
     let _ = std::fs::remove_dir_all(&d);
 }

@@ -13,19 +13,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 1. Unbudgeted run: everything stays on BDDs.
     let full = driver::run(&program)?;
-    println!("\nunbudgeted run: degraded phases = {:?}", full.degraded_phases);
-    println!("  pt: {} tuples, reads*: {} tuples", full.points_to.pt.size(), full.side_effects.reads_star.size());
+    println!(
+        "\nunbudgeted run: degraded phases = {:?}",
+        full.degraded_phases
+    );
+    println!(
+        "  pt: {} tuples, reads*: {} tuples",
+        full.points_to.pt.size(),
+        full.side_effects.reads_star.size()
+    );
 
     // 2. A starved budget: every phase exhausts its step budget, the
     //    driver degrades to the explicit-set implementations, and the
     //    results are identical.
     let starved = driver::run_with_budget(&program, Budget::unlimited().with_max_steps(10))?;
-    println!("\nstarved run (10 steps/op): degraded phases = {:?}", starved.degraded_phases);
+    println!(
+        "\nstarved run (10 steps/op): degraded phases = {:?}",
+        starved.degraded_phases
+    );
     let a: BTreeSet<_> = full.points_to.pt.tuples().into_iter().collect();
     let b: BTreeSet<_> = starved.points_to.pt.tuples().into_iter().collect();
     println!("  pt identical to unbudgeted run: {}", a == b);
     let a: BTreeSet<_> = full.side_effects.reads_star.tuples().into_iter().collect();
-    let b: BTreeSet<_> = starved.side_effects.reads_star.tuples().into_iter().collect();
+    let b: BTreeSet<_> = starved
+        .side_effects
+        .reads_star
+        .tuples()
+        .into_iter()
+        .collect();
     println!("  reads* identical to unbudgeted run: {}", a == b);
 
     // 3. Cancellation is not degradable: a cancelled run aborts.
@@ -59,13 +74,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     u.set_budget(Budget::unlimited());
     u.set_fail_plan(Some(FailPlan::fail_alloc_at(5)));
     let injected = Relation::from_tuples(&u, &schema, &tuples);
-    println!("\nwith injected allocation fault: {}", match &injected {
-        Err(e) => format!("failed: {e}"),
-        Ok(_) => "unexpectedly succeeded".into(),
-    });
+    println!(
+        "\nwith injected allocation fault: {}",
+        match &injected {
+            Err(e) => format!("failed: {e}"),
+            Ok(_) => "unexpectedly succeeded".into(),
+        }
+    );
     u.set_fail_plan(None);
     let r = Relation::from_tuples(&u, &schema, &tuples)?;
-    println!("after clearing the plan the same build succeeds: {} tuples", r.size());
+    println!(
+        "after clearing the plan the same build succeeds: {} tuples",
+        r.size()
+    );
 
     Ok(())
 }

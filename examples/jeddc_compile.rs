@@ -43,7 +43,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("--- compiling the paper's Fig. 4 program ----------------------");
     let compiled = jeddc::compile(FIG4)?;
     let st = compiled.assignment.stats;
-    println!("expressions: {}   attribute occurrences: {}", st.exprs, st.attrs);
+    println!(
+        "expressions: {}   attribute occurrences: {}",
+        st.exprs, st.attrs
+    );
     println!(
         "constraints: {} conflict, {} equality, {} assignment",
         st.conflict, st.equality, st.assignment

@@ -6,7 +6,9 @@
 
 use jedd::analyses::pointsto::CallGraphMode;
 use jedd::analyses::synth::Benchmark;
-use jedd::analyses::{baseline_bdd, callgraph, driver, facts::Facts, hierarchy, pointsto, sideeffect};
+use jedd::analyses::{
+    baseline_bdd, callgraph, driver, facts::Facts, hierarchy, pointsto, sideeffect,
+};
 use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -24,7 +26,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\nJedd relational analyses ({took:.2?}):");
     println!("  subtypeOf:    {:6} tuples", h.subtype_of.size());
-    println!("  pt:           {:6} tuples ({} BDD nodes)", pt.pt.size(), pt.pt.node_count());
+    println!(
+        "  pt:           {:6} tuples ({} BDD nodes)",
+        pt.pt.size(),
+        pt.pt.node_count()
+    );
     println!("  fieldPt:      {:6} tuples", pt.field_pt.size());
     println!("  call targets: {:6} tuples", pt.cg.size());
     println!("  cg edges:     {:6} tuples", cg.edges.size());

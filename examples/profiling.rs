@@ -19,7 +19,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     f.u.set_profiler(Some(profiler.clone()));
 
     let result = pointsto::analyze(&f, CallGraphMode::OnTheFly)?;
-    println!("pt = {} tuples, {} events recorded", result.pt.size(), profiler.len());
+    println!(
+        "pt = {} tuples, {} events recorded",
+        result.pt.size(),
+        profiler.len()
+    );
 
     println!("\nTop operations by total time:");
     for row in profiler.summary().into_iter().take(10) {

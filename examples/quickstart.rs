@@ -58,7 +58,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Lines 6-7: find classes declaring the signature.
         let resolved =
             to_resolve.join(&[tgttype, signature], &declares_method, &[ty, signature])?;
-        println!("iteration {iteration}: resolved =\n{}\n", resolved.display_tuples());
+        println!(
+            "iteration {iteration}: resolved =\n{}\n",
+            resolved.display_tuples()
+        );
         // Line 8.
         answer = answer.union(&resolved)?;
         // Line 9.

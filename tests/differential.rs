@@ -64,7 +64,12 @@ fn cells() -> Vec<Cell> {
     for chained in [false, true] {
         for frames in [None, Some(2), Some(16), Some(0)] {
             for (budget, churn) in [(false, false), (false, true), (true, false), (true, true)] {
-                out.push(Cell { chained, frames, budget, churn });
+                out.push(Cell {
+                    chained,
+                    frames,
+                    budget,
+                    churn,
+                });
             }
         }
     }
@@ -110,7 +115,11 @@ impl World {
     /// ZDD family (plain or chain-reduced to match) and the oracle stay
     /// resident, so they cross-check a paged kernel from outside it.
     fn new(cell: Cell, seed: u64) -> World {
-        let backend = if cell.chained { Backend::Cbdd } else { Backend::Bdd };
+        let backend = if cell.chained {
+            Backend::Cbdd
+        } else {
+            Backend::Bdd
+        };
         let u = match cell.frames {
             Some(frames) => Universe::new_paged_with_backend(backend, frames).expect("page file"),
             None => Universe::new_with_backend(backend),
@@ -147,8 +156,18 @@ impl World {
         } else {
             ZddManager::new(NATTRS * BITS)
         };
-        let limits = cell.budget.then(|| RefCell::new(XorShift64Star::new(seed ^ 0x00b0_d6e7)));
-        World { u, attrs, phys, z, limits, tally: RefCell::default(), warm_faults }
+        let limits = cell
+            .budget
+            .then(|| RefCell::new(XorShift64Star::new(seed ^ 0x00b0_d6e7)));
+        World {
+            u,
+            attrs,
+            phys,
+            z,
+            limits,
+            tally: RefCell::default(),
+            warm_faults,
+        }
     }
 
     /// Builds a base relation through `from_tuples`, as the analyses load
@@ -198,7 +217,8 @@ impl World {
         // ladder, and some trip.
         let live = self.u.bdd_manager().live_nodes();
         let limit = live / 2 + rng.borrow_mut().gen_index(0..live / 2 + 48);
-        self.u.set_budget(Budget::unlimited().with_max_live_nodes(limit));
+        self.u
+            .set_budget(Budget::unlimited().with_max_live_nodes(limit));
         let result = op();
         self.u.set_budget(Budget::unlimited());
         let mut tally = self.tally.borrow_mut();
@@ -207,7 +227,10 @@ impl World {
                 tally.done += 1;
                 Some(rel)
             }
-            Err(JeddError::ResourceExhausted { cause: BddError::NodeLimit { .. }, .. }) => {
+            Err(JeddError::ResourceExhausted {
+                cause: BddError::NodeLimit { .. },
+                ..
+            }) => {
                 tally.trips += 1;
                 None
             }
@@ -282,16 +305,18 @@ fn check(w: &World, r: &Rel3, ctx: &str) {
     got_bdd.sort();
     got_bdd.dedup();
     assert_eq!(got_bdd, expect, "BDD backend diverged from oracle: {ctx}");
-    let mut got_zdd: Vec<Vec<u64>> = w
-        .z
-        .sets(r.zdd)
-        .iter()
-        .map(|s| decode(&r.attrs, s))
-        .collect();
+    let mut got_zdd: Vec<Vec<u64>> =
+        w.z.sets(r.zdd)
+            .iter()
+            .map(|s| decode(&r.attrs, s))
+            .collect();
     got_zdd.sort();
     got_zdd.dedup();
     assert_eq!(got_zdd, expect, "ZDD backend diverged from oracle: {ctx}");
-    if r.attrs.iter().all(|&a| r.rel.physdom_of(w.attrs[a]) == Some(w.phys[a])) {
+    if r.attrs
+        .iter()
+        .all(|&a| r.rel.physdom_of(w.attrs[a]) == Some(w.phys[a]))
+    {
         assert_eq!(
             r.rel.zdd_node_count(),
             w.z.node_count(r.zdd),
@@ -318,20 +343,34 @@ fn make_base(w: &World, rng: &mut XorShift64Star, want: Option<Vec<usize>>) -> R
     for _ in 0..nrows {
         rows.insert((0..attrs.len()).map(|_| rng.gen_range(0..DOM)).collect());
     }
-    let schema: Vec<(AttrId, PhysDomId)> =
-        attrs.iter().map(|&i| (w.attrs[i], w.phys[i])).collect();
+    let schema: Vec<(AttrId, PhysDomId)> = attrs.iter().map(|&i| (w.attrs[i], w.phys[i])).collect();
     let tuples: Vec<Vec<u64>> = rows.iter().cloned().collect();
     let rel = w.load(&schema, &tuples);
     // Loading must build the very diagram a union of tuple literals does.
     let mut fold = Relation::empty(&w.u, &schema).expect("valid schema");
     for t in &tuples {
-        let fields: Vec<_> = schema.iter().zip(t).map(|(&(a, p), &v)| (a, p, v)).collect();
-        fold = fold.union(&Relation::tuple(&w.u, &fields).expect("tuple")).expect("union");
+        let fields: Vec<_> = schema
+            .iter()
+            .zip(t)
+            .map(|(&(a, p), &v)| (a, p, v))
+            .collect();
+        fold = fold
+            .union(&Relation::tuple(&w.u, &fields).expect("tuple"))
+            .expect("union");
     }
-    assert_eq!(rel.bdd(), fold.bdd(), "from_tuples differs from the union of its tuples");
+    assert_eq!(
+        rel.bdd(),
+        fold.bdd(),
+        "from_tuples differs from the union of its tuples"
+    );
     let sets: Vec<Vec<u32>> = rows.iter().map(|t| row_vars(&attrs, t)).collect();
     let zdd = w.z.family(&sets);
-    let r = Rel3 { rel, zdd, attrs, rows };
+    let r = Rel3 {
+        rel,
+        zdd,
+        attrs,
+        rows,
+    };
     check(w, &r, "base relation");
     r
 }
@@ -344,9 +383,18 @@ fn set_op(w: &World, a: &Rel3, b: &Rel3, kind: usize) -> Option<Rel3> {
         _ => a.rel.minus(&b.rel),
     })?;
     let (zdd, rows) = match kind {
-        0 => (w.z.union(a.zdd, b.zdd), a.rows.union(&b.rows).cloned().collect()),
-        1 => (w.z.intersect(a.zdd, b.zdd), a.rows.intersection(&b.rows).cloned().collect()),
-        _ => (w.z.diff(a.zdd, b.zdd), a.rows.difference(&b.rows).cloned().collect()),
+        0 => (
+            w.z.union(a.zdd, b.zdd),
+            a.rows.union(&b.rows).cloned().collect(),
+        ),
+        1 => (
+            w.z.intersect(a.zdd, b.zdd),
+            a.rows.intersection(&b.rows).cloned().collect(),
+        ),
+        _ => (
+            w.z.diff(a.zdd, b.zdd),
+            a.rows.difference(&b.rows).cloned().collect(),
+        ),
     };
     Some(Rel3 {
         rel,
@@ -375,7 +423,12 @@ fn project(w: &World, a: &Rel3, col: usize) -> Option<Rel3> {
                 .collect()
         })
         .collect();
-    Some(Rel3 { rel, zdd, attrs, rows })
+    Some(Rel3 {
+        rel,
+        zdd,
+        attrs,
+        rows,
+    })
 }
 
 fn rename(w: &World, a: &Rel3, col: usize, to: usize) -> Option<Rel3> {
@@ -389,7 +442,11 @@ fn rename(w: &World, a: &Rel3, col: usize, to: usize) -> Option<Rel3> {
         let moved = w.z.change(w.z.subset1(zdd, zvar(from, j)), zvar(to, j));
         zdd = w.z.union(keep, moved);
     }
-    let mut attrs: Vec<usize> = a.attrs.iter().map(|&x| if x == from { to } else { x }).collect();
+    let mut attrs: Vec<usize> = a
+        .attrs
+        .iter()
+        .map(|&x| if x == from { to } else { x })
+        .collect();
     attrs.sort_unstable();
     let rows: BTreeSet<Vec<u64>> = a
         .rows
@@ -408,7 +465,12 @@ fn rename(w: &World, a: &Rel3, col: usize, to: usize) -> Option<Rel3> {
                 .collect()
         })
         .collect();
-    Some(Rel3 { rel, zdd, attrs, rows })
+    Some(Rel3 {
+        rel,
+        zdd,
+        attrs,
+        rows,
+    })
 }
 
 /// Join on the shared attributes (compose additionally projects them
@@ -416,7 +478,12 @@ fn rename(w: &World, a: &Rel3, col: usize, to: usize) -> Option<Rel3> {
 /// carves the matching right sets out with `subset0`/`subset1` chains
 /// before re-inserting the left tuple's variables with `change`.
 fn combine(w: &World, l: &Rel3, r: &Rel3, compose: bool) -> Option<Rel3> {
-    let shared: Vec<usize> = l.attrs.iter().copied().filter(|x| r.attrs.contains(x)).collect();
+    let shared: Vec<usize> = l
+        .attrs
+        .iter()
+        .copied()
+        .filter(|x| r.attrs.contains(x))
+        .collect();
     assert!(!shared.is_empty());
     let ids: Vec<AttrId> = shared.iter().map(|&i| w.attrs[i]).collect();
     let rel = w.governed(|| {
@@ -480,7 +547,12 @@ fn combine(w: &World, l: &Rel3, r: &Rel3, compose: bool) -> Option<Rel3> {
             rows.insert(attrs.iter().map(|&x| value(x)).collect());
         }
     }
-    Some(Rel3 { rel, zdd, attrs, rows })
+    Some(Rel3 {
+        rel,
+        zdd,
+        attrs,
+        rows,
+    })
 }
 
 /// Replays one case: `seed` in `cell`. Panics on the first divergence
@@ -531,7 +603,9 @@ fn run_cell(cell: Cell, seed: u64) -> Tally {
                 set_op(&w, &pool[a], b, kind)
             }
             3 => {
-                let wide: Vec<usize> = (0..pool.len()).filter(|&i| pool[i].attrs.len() >= 2).collect();
+                let wide: Vec<usize> = (0..pool.len())
+                    .filter(|&i| pool[i].attrs.len() >= 2)
+                    .collect();
                 if wide.is_empty() {
                     Some(make_base(&w, &mut rng, None))
                 } else {
@@ -541,8 +615,9 @@ fn run_cell(cell: Cell, seed: u64) -> Tally {
                 }
             }
             4 => {
-                let narrow: Vec<usize> =
-                    (0..pool.len()).filter(|&i| pool[i].attrs.len() < NATTRS).collect();
+                let narrow: Vec<usize> = (0..pool.len())
+                    .filter(|&i| pool[i].attrs.len() < NATTRS)
+                    .collect();
                 if narrow.is_empty() {
                     Some(make_base(&w, &mut rng, None))
                 } else {
@@ -604,10 +679,19 @@ fn run_cell(cell: Cell, seed: u64) -> Tally {
         "run_cell({cell:?}, {seed}): {} faults, {} reads, {} evictions, {} writes",
         k.page_faults, k.page_reads, k.page_evictions, k.page_writes
     );
-    assert!(k.page_faults == k.page_reads && k.page_evictions <= k.page_writes, "{pager}");
-    assert!(cell.frames != Some(0) || k.page_evictions == 0, "unbounded pager evicted: {pager}");
+    assert!(
+        k.page_faults == k.page_reads && k.page_evictions <= k.page_writes,
+        "{pager}"
+    );
+    assert!(
+        cell.frames != Some(0) || k.page_evictions == 0,
+        "unbounded pager evicted: {pager}"
+    );
     let faults = k.page_faults - w.warm_faults;
-    Tally { faults, ..w.tally.into_inner() }
+    Tally {
+        faults,
+        ..w.tally.into_inner()
+    }
 }
 
 /// Seeds per cell, from `JEDD_FUZZ_CASES` (default 256). The cells the
@@ -617,7 +701,9 @@ fn run_cell(cell: Cell, seed: u64) -> Tally {
 /// resident budget cells run an eighth and the other paged cells, whose
 /// cases take the longest, a 128th (at least 2 each).
 fn cases(cell: Cell) -> u64 {
-    let set: Option<u64> = std::env::var("JEDD_FUZZ_CASES").ok().and_then(|s| s.parse().ok());
+    let set: Option<u64> = std::env::var("JEDD_FUZZ_CASES")
+        .ok()
+        .and_then(|s| s.parse().ok());
     let (share, default) = match (cell.frames, cell.budget, cell.churn) {
         (None, false, false) => (1, 256),
         (None, false, true) => (2, 48),
@@ -810,8 +896,17 @@ fn run_analyses(f: &Facts) -> (Vec<TupleSet>, Relation) {
     let cg = callgraph::build(f, &pt.cg).expect("call graph");
     let se = sideeffect::compute(f, &pt.pt, &cg.edges).expect("side effects");
     let rels = [
-        &pt.pt, &pt.field_pt, &pt.cg, &h.subtype_of, &cg.site_targets, &cg.edges, &cg.reachable,
-        &se.reads, &se.writes, &se.reads_star, &se.writes_star,
+        &pt.pt,
+        &pt.field_pt,
+        &pt.cg,
+        &h.subtype_of,
+        &cg.site_targets,
+        &cg.edges,
+        &cg.reachable,
+        &se.reads,
+        &se.writes,
+        &se.reads_star,
+        &se.writes_star,
     ];
     (rels.map(ts).into(), pt.pt.clone())
 }
@@ -842,7 +937,10 @@ fn analysis_row() {
             let expected = expected.get_or_insert_with(|| {
                 assert_eq!(got[0], sets, "plain resident points-to vs the set baseline");
                 let live = f.u.bdd_manager().live_nodes();
-                assert!(live > FRAMES * 256, "{live} live nodes fit in {FRAMES} frames");
+                assert!(
+                    live > FRAMES * 256,
+                    "{live} live nodes fit in {FRAMES} frames"
+                );
                 got.clone()
             });
             assert_eq!(&got, expected, "{name}: diverged from plain resident");
@@ -852,7 +950,10 @@ fn analysis_row() {
                     assert!(k.page_faults > 0, "{name}: never paged");
                     assert_eq!(k.page_faults, k.page_reads, "{name}");
                     assert!(k.page_evictions <= k.page_writes, "{name}");
-                    assert!(k.page_max_resident as usize <= FRAMES, "{name}: over budget");
+                    assert!(
+                        k.page_max_resident as usize <= FRAMES,
+                        "{name}: over budget"
+                    );
                 }
                 Some(_) => assert_eq!(k.page_evictions, 0, "{name}: unbounded pager evicted"),
                 None => pt_nodes.push((pt.node_count(), pt.zdd_node_count())),
@@ -861,7 +962,10 @@ fn analysis_row() {
     }
     // Chain reduction never grows a diagram: CBDD <= BDD and CZDD <= ZDD.
     let ((bdd, zdd), (cbdd, czdd)) = (pt_nodes[0], pt_nodes[1]);
-    assert!(zdd > 0 && cbdd <= bdd && czdd <= zdd, "bdd {bdd} zdd {zdd} cbdd {cbdd} czdd {czdd}");
+    assert!(
+        zdd > 0 && cbdd <= bdd && czdd <= zdd,
+        "bdd {bdd} zdd {zdd} cbdd {cbdd} czdd {czdd}"
+    );
 }
 
 /// The `JEDD_PAGE_CACHE` seam, run by `ci.sh --paged`: with a tiny frame
@@ -874,10 +978,16 @@ fn page_cache_env_seam() {
         .ok()
         .and_then(|v| v.parse().ok())
         .expect("JEDD_PAGE_CACHE must be a frame count");
-    assert!((2..=8).contains(&frames), "budget {frames} is too large to page the tiny benchmark");
+    assert!(
+        (2..=8).contains(&frames),
+        "budget {frames} is too large to page the tiny benchmark"
+    );
     let p = Benchmark::Tiny.generate();
     let paged = Facts::load(&p).expect("env-paged facts");
-    assert!(paged.u.is_paged(), "JEDD_PAGE_CACHE did not page Universe::new");
+    assert!(
+        paged.u.is_paged(),
+        "JEDD_PAGE_CACHE did not page Universe::new"
+    );
     let (got, _) = run_analyses(&paged);
     let k = paged.u.bdd_manager().kernel_stats();
     assert!(k.page_faults > 0 && k.page_max_resident as usize <= frames);

@@ -114,7 +114,10 @@ fn claim_backend_agreement() {
     for &t in &tuples {
         zdd = z.union(zdd, z.encode_tuple(&[(&bits, t)]));
     }
-    let distinct = tuples.iter().collect::<std::collections::BTreeSet<_>>().len() as f64;
+    let distinct = tuples
+        .iter()
+        .collect::<std::collections::BTreeSet<_>>()
+        .len() as f64;
     assert_eq!(bdd.satcount_over(&bits), distinct);
     assert_eq!(z.count(zdd), distinct);
 }
@@ -128,7 +131,16 @@ fn claim_figure1_pipeline() {
     let java = jeddc::emit_java_like(&compiled);
     assert!(java.contains("JeddProgram"), "code generation");
     let mut exec = jeddc::Executor::new(&compiled).expect("runtime");
-    for d in ["Type", "Signature", "Method", "Field", "Var", "Obj", "Site", "ParamIdx"] {
+    for d in [
+        "Type",
+        "Signature",
+        "Method",
+        "Field",
+        "Var",
+        "Obj",
+        "Site",
+        "ParamIdx",
+    ] {
         exec.bind_domain_size(d, 4).unwrap();
     }
     exec.set_input("extend", &[vec![1, 0], vec![2, 1]]).unwrap();
