@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# Offline CI: build, test, lint. No network access is required (the
-# workspace has no external dependencies).
+# Offline CI: format check, build, test, lint. No network access is
+# required (the workspace has no external dependencies).
 #
 # Usage: ci.sh [--crash] [--paged]
 #   --crash   additionally run a bounded slice of the fault-injection
@@ -27,6 +27,10 @@ for arg in "$@"; do
         *) echo "unknown argument: $arg" >&2; exit 2 ;;
     esac
 done
+
+echo "==> cargo fmt --check"
+# Layout is rustfmt's: an unformatted file fails CI before anything builds.
+cargo fmt --check
 
 echo "==> cargo build --release"
 # --workspace so member binaries (the jeddc CLI used by the lint stage

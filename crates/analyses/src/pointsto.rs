@@ -189,29 +189,7 @@ fn analyze_naive(
         f.u.set_site("pointsto");
 
         // --- 5. Interprocedural assignment edges from call edges. ---
-        // this-parameter: this(callee) := recv(site).
-        let this_edges = cg_next
-            .join(&[f.method], &f.method_this, &[f.method])?
-            .rename(f.var, f.dst)?
-            .join(&[f.site], &f.site_recv, &[f.site])?
-            .rename(f.var, f.src)?
-            .project_onto(&[f.dst, f.src])?;
-        // parameters: param(callee, i) := arg(site, i).
-        let param_edges = cg_next
-            .join(&[f.method], &f.method_param, &[f.method])?
-            .rename(f.var, f.dst)?
-            .join(&[f.site, f.idx], &f.site_arg, &[f.site, f.idx])?
-            .rename(f.var, f.src)?
-            .project_onto(&[f.dst, f.src])?;
-        // returns: ret(site) := retvar(callee).
-        let ret_edges = cg_next
-            .join(&[f.method], &f.method_ret, &[f.method])?
-            .rename(f.var, f.src)?
-            .join(&[f.site], &f.site_ret, &[f.site])?
-            .rename(f.var, f.dst)?
-            .project_onto(&[f.dst, f.src])?;
-        let new_edges = this_edges.union(&param_edges)?.union(&ret_edges)?;
-        let edges_next = edges.union(&new_edges)?;
+        let edges_next = edges.union(&call_edges(f, &cg_next)?)?;
 
         let done = pt_next.equals(&pt)? && cg_next.equals(&cg)? && edges_next.equals(&edges)?;
         pt = pt_next;
@@ -228,6 +206,34 @@ fn analyze_naive(
             });
         }
     }
+}
+
+/// The `(dst, src)` assignment edges that the `(site, method)` call edges
+/// `cg` induce. The rule is linear in `cg`, so both drivers use it: the
+/// naive one on all of `cg`, the semi-naive one on its delta.
+fn call_edges(f: &Facts, cg: &Relation) -> Result<Relation, JeddError> {
+    // this-parameter: this(callee) := recv(site).
+    let this_edges = cg
+        .join(&[f.method], &f.method_this, &[f.method])?
+        .rename(f.var, f.dst)?
+        .join(&[f.site], &f.site_recv, &[f.site])?
+        .rename(f.var, f.src)?
+        .project_onto(&[f.dst, f.src])?;
+    // parameters: param(callee, i) := arg(site, i).
+    let param_edges = cg
+        .join(&[f.method], &f.method_param, &[f.method])?
+        .rename(f.var, f.dst)?
+        .join(&[f.site, f.idx], &f.site_arg, &[f.site, f.idx])?
+        .rename(f.var, f.src)?
+        .project_onto(&[f.dst, f.src])?;
+    // returns: ret(site) := retvar(callee).
+    let ret_edges = cg
+        .join(&[f.method], &f.method_ret, &[f.method])?
+        .rename(f.var, f.src)?
+        .join(&[f.site], &f.site_ret, &[f.site])?
+        .rename(f.var, f.dst)?
+        .project_onto(&[f.dst, f.src])?;
+    this_edges.union(&param_edges)?.union(&ret_edges)
 }
 
 /// The mutable state of a semi-naive points-to run between outer rounds —
@@ -481,31 +487,7 @@ pub(crate) fn pt_round(
 
     // --- 5. Interprocedural assignment edges from new call edges. ---
     if cg.has_delta() {
-        let new_edges = fp.rule("call-edges", || {
-            let dcg = cg.delta();
-            // this-parameter: this(callee) := recv(site).
-            let this_edges = dcg
-                .join(&[f.method], &f.method_this, &[f.method])?
-                .rename(f.var, f.dst)?
-                .join(&[f.site], &f.site_recv, &[f.site])?
-                .rename(f.var, f.src)?
-                .project_onto(&[f.dst, f.src])?;
-            // parameters: param(callee, i) := arg(site, i).
-            let param_edges = dcg
-                .join(&[f.method], &f.method_param, &[f.method])?
-                .rename(f.var, f.dst)?
-                .join(&[f.site, f.idx], &f.site_arg, &[f.site, f.idx])?
-                .rename(f.var, f.src)?
-                .project_onto(&[f.dst, f.src])?;
-            // returns: ret(site) := retvar(callee).
-            let ret_edges = dcg
-                .join(&[f.method], &f.method_ret, &[f.method])?
-                .rename(f.var, f.src)?
-                .join(&[f.site], &f.site_ret, &[f.site])?
-                .rename(f.var, f.dst)?
-                .project_onto(&[f.dst, f.src])?;
-            this_edges.union(&param_edges)?.union(&ret_edges)
-        })?;
+        let new_edges = fp.rule("call-edges", || call_edges(f, cg.delta()))?;
         edges.stage(&new_edges)?;
     }
     edges.advance()?;

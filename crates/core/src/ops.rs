@@ -425,6 +425,63 @@ impl Relation {
         })
     }
 
+    /// Decides the key restriction of join and compose for `self` and the
+    /// aligned right operand `o` (DESIGN.md "Alignment discipline").
+    ///
+    /// When every bit of the compared physical domains lies below every
+    /// bit of `o`'s kept attributes at the manager's current levels, the
+    /// combine would pair every path of `self` above the keys with every
+    /// path of `o` above them before comparing a single key. Cutting `o`
+    /// to the keys `self` holds first walks `o` once and leaves the
+    /// combine only the part that can match. Returns the bits of `self`'s
+    /// kept attributes, which project `self` onto its keys, or `None` when
+    /// the rule does not apply. Either operand keeping nothing but the
+    /// keys also gives `None`: the combine is then that walk already.
+    fn key_restriction(&self, self_attrs: &[AttrId], o: &Relation) -> Option<Vec<u32>> {
+        let keys: Vec<PhysDomId> = self_attrs
+            .iter()
+            .map(|&a| self.physdom_of(a).expect("validated"))
+            .collect();
+        let kept_bits = |r: &Relation| -> Vec<u32> {
+            r.schema
+                .iter()
+                .filter(|(_, p)| !keys.contains(p))
+                .flat_map(|&(_, p)| self.universe.physdom_bits(p))
+                .collect()
+        };
+        let (self_kept, other_kept) = (kept_bits(self), kept_bits(o));
+        if self_kept.is_empty() || other_kept.is_empty() {
+            return None;
+        }
+        let mgr = self.universe.bdd_manager();
+        let top_key = keys
+            .iter()
+            .flat_map(|&p| self.universe.physdom_bits(p))
+            .map(|v| mgr.level_of_var(v))
+            .min()?;
+        if !other_kept.iter().all(|&v| mgr.level_of_var(v) < top_key) {
+            return None;
+        }
+        self.universe.count_key_restriction();
+        Some(self_kept)
+    }
+
+    /// The right operand `o` of a join or compose, cut to `self`'s keys
+    /// when [`Relation::key_restriction`] returned `self`'s kept bits:
+    /// `o ∧ ∃kept(self). self`. `self` implies its own projection, so the
+    /// combine's result is the same diagram either way.
+    fn cut_to_keys(&self, o: &Bdd, self_kept: Option<&[u32]>) -> Result<Bdd, BddError> {
+        match self_kept {
+            Some(bits) => {
+                let keys = self
+                    .bdd
+                    .try_exists(&self.universe.bdd_manager().try_cube(bits)?)?;
+                o.try_and(&keys)
+            }
+            None => Ok(o.clone()),
+        }
+    }
+
     /// Join (`x{a...} >< y{b...}`): pairs of tuples matching on the
     /// compared attributes, keeping the compared attributes (from the left
     /// operand) in the result — the \[Join\] rule. Implemented as a BDD
@@ -441,7 +498,10 @@ impl Relation {
         other_attrs: &[AttrId],
     ) -> Result<Relation, JeddError> {
         let o = self.align_for_combine(self_attrs, other, other_attrs, "join", true)?;
-        let bdd = self.profiled("join", &[&self.bdd, &o.bdd], || self.bdd.try_and(&o.bdd))?;
+        let cut = self.key_restriction(self_attrs, &o);
+        let bdd = self.profiled("join", &[&self.bdd, &o.bdd], || {
+            self.bdd.try_and(&self.cut_to_keys(&o.bdd, cut.as_deref())?)
+        })?;
         let mut schema = self.schema.clone();
         for &(a, p) in o.schema.iter() {
             if !other_attrs.contains(&a) {
@@ -480,8 +540,10 @@ impl Relation {
             );
         }
         let mgr = self.universe.bdd_manager();
+        let cut = self.key_restriction(self_attrs, &o);
         let bdd = self.profiled("compose", &[&self.bdd, &o.bdd], || {
-            self.bdd.try_and_exists(&o.bdd, &mgr.try_cube(&cube_bits)?)
+            let right = self.cut_to_keys(&o.bdd, cut.as_deref())?;
+            self.bdd.try_and_exists(&right, &mgr.try_cube(&cube_bits)?)
         })?;
         let mut schema: Vec<(AttrId, PhysDomId)> = self
             .schema

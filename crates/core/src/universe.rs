@@ -79,6 +79,10 @@ pub struct UniverseStats {
     pub auto_replaces: u64,
     /// Relational operations executed.
     pub relational_ops: u64,
+    /// Joins and composes that cut their right operand to the left
+    /// operand's keys first, because the compared attributes sat below
+    /// the right operand's kept ones in the variable order.
+    pub key_restrictions: u64,
 }
 
 /// The BDD kernel a universe runs its relational algebra on.
@@ -737,6 +741,10 @@ impl Universe {
 
     pub(crate) fn count_auto_replace(&self) {
         self.inner.borrow_mut().stats.auto_replaces += 1;
+    }
+
+    pub(crate) fn count_key_restriction(&self) {
+        self.inner.borrow_mut().stats.key_restrictions += 1;
     }
 
     pub(crate) fn count_op(&self) {

@@ -329,6 +329,9 @@ pub fn resume_latest_bdd(dir: &Path) -> Result<BddResumePoint, StoreError> {
                 snap.universe.restore_stats(UniverseStats {
                     auto_replaces: record.auto_replaces,
                     relational_ops: record.relational_ops,
+                    // The log does not record this counter; it restarts
+                    // from zero on resume.
+                    key_restrictions: 0,
                 });
                 return Ok(BddResumePoint {
                     record,
