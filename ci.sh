@@ -44,7 +44,7 @@ cargo test --workspace --offline -q
 # The extended mode matrix: more seeds per cell than the in-pass
 # default. Every cell of kernel {plain, chained} x storage {resident,
 # paged at 2/16/unbounded frames} x budget {none, tight} x churn {off,
-# on} is checked against the BTreeSet oracle and the ZDD family after
+# on} is checked against the BTreeSet oracle and a plain ZDD family after
 # every step; the five differential_fuzz_* tests split the cells between
 # them. JEDD_FUZZ_CASES scales every cell's seed count (`cases` in the
 # test file): at 512 the resident cells without budget or churn run 512
@@ -52,15 +52,6 @@ cargo test --workspace --offline -q
 echo "==> extended mode matrix (JEDD_FUZZ_CASES=${JEDD_FUZZ_CASES:-512})"
 JEDD_FUZZ_CASES="${JEDD_FUZZ_CASES:-512}" \
     cargo test --offline -q --test differential differential_fuzz
-
-# Order-search smoke: the kernel's chain suite includes the order lab's
-# search (sifting + window-3 + hot-window restarts) on a pessimal order;
-# JEDD_ORDER_SEARCH_ROUNDS bounds the restart count so CI stays cheap.
-echo "==> order-search smoke (JEDD_ORDER_SEARCH_ROUNDS=${JEDD_ORDER_SEARCH_ROUNDS:-1})"
-JEDD_ORDER_SEARCH_ROUNDS="${JEDD_ORDER_SEARCH_ROUNDS:-1}" \
-    cargo test -p jedd-bdd --test chain --offline -q
-JEDD_ORDER_SEARCH_ROUNDS="${JEDD_ORDER_SEARCH_ROUNDS:-1}" \
-    cargo test -p jedd-analyses --test learned_order --offline -q
 
 if [ "$CRASH" = 1 ]; then
     echo "==> crash/resume smoke (JEDD_CRASH_CASES=${JEDD_CRASH_CASES:-10})"
@@ -131,12 +122,9 @@ JEDD_BENCH_SAMPLES=3 JEDD_BENCH_JSON="$(pwd)/BENCH_kernel.json" \
 JEDD_BENCH_SAMPLES=3 JEDD_BENCH_JSON="$(pwd)/BENCH_kernel.json" \
     cargo bench -p jedd-bench --bench fixpoint_seminaive --offline
 # The chain-reduction bench runs every Table-2 analysis on the plain and
-# the chain-reduced kernel, asserts tuple identity and that the best
-# chained node count never loses to the best plain one, and on compress
-# times the order lab's cold search against a persisted-order warm start
-# (which must perform zero sifting sweeps and beat the cold run).
-JEDD_BENCH_SAMPLES=1 JEDD_ORDER_SEARCH_ROUNDS="${JEDD_ORDER_SEARCH_ROUNDS:-1}" \
-    JEDD_BENCH_JSON="$(pwd)/BENCH_kernel.json" \
+# the chain-reduced kernel, and asserts tuple identity and that the
+# chained node count never exceeds the plain one.
+JEDD_BENCH_SAMPLES=1 JEDD_BENCH_JSON="$(pwd)/BENCH_kernel.json" \
     cargo bench -p jedd-bench --bench chain_reduction --offline
 # Fact loading: from_tuples (one minterm per tuple, ORed in along its own
 # path without the op cache) against the fold of Relation::tuple unions on
@@ -149,7 +137,7 @@ JEDD_BENCH_SAMPLES=3 JEDD_BENCH_JSON="$(pwd)/BENCH_kernel.json" \
 JEDD_BENCH_SAMPLES=3 JEDD_BENCH_JSON="$(pwd)/BENCH_kernel.json" \
     cargo bench -p jedd-bench --bench domain_assignment --offline
 # sifting and var_order report their ablation numbers through the same
-# stamped JSON so the order-lab trajectory is tracked run over run.
+# stamped JSON so the variable-order ablations are tracked run over run.
 JEDD_BENCH_SAMPLES=1 JEDD_BENCH_JSON="$(pwd)/BENCH_kernel.json" \
     cargo bench -p jedd-bench --bench sifting --offline
 JEDD_BENCH_SAMPLES=1 JEDD_BENCH_JSON="$(pwd)/BENCH_kernel.json" \

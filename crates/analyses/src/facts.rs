@@ -142,8 +142,7 @@ impl Facts {
     ///
     /// The universe comes from [`Universe::new`]: the plain kernel, paged
     /// when `JEDD_PAGE_CACHE` is set. Use [`Facts::load_configured`] for
-    /// the chain-reduced kernel, an explicit page budget or a learned
-    /// variable order.
+    /// the chain-reduced kernel or an explicit page budget.
     ///
     /// # Errors
     ///
@@ -155,7 +154,7 @@ impl Facts {
     /// As [`Universe::new`]: when `JEDD_PAGE_CACHE` asks for paging and
     /// the page file cannot be created.
     pub fn load(p: &Program) -> Result<Facts, JeddError> {
-        Self::load_configured(p, Universe::new(), None)
+        Self::load_configured(p, Universe::new())
     }
 
     /// Builds the universe on a disk-backed paged manager with a resident
@@ -170,24 +169,16 @@ impl Facts {
     /// created.
     pub fn load_paged(p: &Program, frames: usize) -> Result<Facts, JeddError> {
         let u = Universe::new_paged_with_backend(jedd_core::Backend::Bdd, frames)?;
-        Self::load_configured(p, u, None)
+        Self::load_configured(p, u)
     }
 
     /// Loads `p` into `u`, a fresh universe whose constructor picks the
-    /// kernel and the storage (`Universe::new_paged_with_backend`, ...),
-    /// optionally installing a learned `level -> var` order (a persisted
-    /// `jedd_store::OrderRecord`) before any relation is built — the
-    /// order lab's warm start, which never needs a sifting sweep.
+    /// kernel and the storage (`Universe::new_paged_with_backend`, ...).
     ///
     /// # Errors
     ///
-    /// As [`Facts::load`], plus [`JeddError::InvalidRestore`] when the
-    /// order table does not match this program's variable count.
-    pub fn load_configured(
-        p: &Program,
-        u: Universe,
-        order: Option<&[u32]>,
-    ) -> Result<Facts, JeddError> {
+    /// As [`Facts::load`].
+    pub fn load_configured(p: &Program, u: Universe) -> Result<Facts, JeddError> {
         let d_type = u.add_domain("Type", p.types.max(1) as u64);
         let d_sig = u.add_domain("Signature", p.sigs.max(1) as u64);
         let d_method = u.add_domain("Method", p.methods.max(1) as u64);
@@ -222,18 +213,6 @@ impl Facts {
         let (h1, h2, h3) = (hs[0], hs[1], hs[2]);
         let c1 = u.add_physical_domain("C1", bits_for(p.call_sites));
         let p1 = u.add_physical_domain("P1", bits_for(max_idx as usize));
-
-        // A learned order must go in now: every physical domain is
-        // registered (so the variable count is final) and no relation is
-        // built yet (so the arena holds only terminals, which `set_order`
-        // requires).
-        if let Some(order) = order {
-            u.bdd_manager()
-                .set_order(order)
-                .map_err(|e| JeddError::InvalidRestore {
-                    detail: format!("learned order does not fit this program: {e}"),
-                })?;
-        }
 
         let subtype = u.add_attribute("subtype", d_type);
         let supertype = u.add_attribute("supertype", d_type);

@@ -779,74 +779,3 @@ pub fn pointsto_resume(
     let iterations = finish_pointsto(&f, cp, mode, allowed.as_ref(), &mut st, &mut fp)?;
     Ok((f, st.into_result(iterations)))
 }
-
-// ------------------------------------------------------- learned orders
-
-/// The file a learned variable order for `analysis` is persisted under
-/// inside a checkpoint/store directory.
-pub fn order_record_path(dir: &Path, analysis: &str) -> std::path::PathBuf {
-    dir.join(format!("{analysis}.order"))
-}
-
-/// Runs the offline order-search lab on the facts' manager — sifting
-/// plus window-3 permutation plus profile-driven hot-window restarts —
-/// and persists the resulting order as a [`jedd_store::OrderRecord`], so
-/// later runs of the same analysis can warm-start via
-/// [`load_learned_order`] + [`crate::facts::Facts::load_configured`] and
-/// skip sifting entirely. Call it after the analysis has run, when the
-/// arena holds the live result shapes the search should optimize for.
-///
-/// Returns the record and the `(before, after)` live decision-node
-/// counts of the search. Under a chain-reduced backend the kernel is
-/// order-static: the search degrades to a collection and the *initial*
-/// order is what gets persisted.
-///
-/// # Errors
-///
-/// [`PersistError::Store`] when the record cannot be written.
-pub fn learn_and_save_order(
-    dir: &Path,
-    analysis: &str,
-    f: &Facts,
-    restarts: usize,
-    seed: u64,
-) -> Result<(jedd_store::OrderRecord, (usize, usize)), PersistError> {
-    let mgr = f.u.bdd_manager();
-    let counts = mgr.order_search(restarts, seed);
-    // The searched order covers scratch variables the analysis allocated
-    // on demand; a fresh universe only has the named physical domains, so
-    // persist the order projected onto the named prefix (the relative
-    // order of named variables is what the search learned — scratch
-    // domains are transient copies and re-sort themselves anywhere).
-    let named = f.u.named_var_count() as u32;
-    let level2var: Vec<u32> = mgr
-        .current_order()
-        .into_iter()
-        .filter(|v| *v < named)
-        .collect();
-    let record = jedd_store::OrderRecord {
-        analysis: analysis.to_string(),
-        backend: f.u.backend(),
-        level2var,
-    };
-    jedd_store::save_order_record(&order_record_path(dir, analysis), &record)?;
-    Ok((record, counts))
-}
-
-/// Loads the learned order persisted for `analysis`, or `None` when no
-/// record exists yet (the cold-start case).
-///
-/// # Errors
-///
-/// [`PersistError::Store`] when a record exists but is unreadable or
-/// corrupt — corruption is surfaced, not silently treated as cold.
-pub fn load_learned_order(
-    dir: &Path,
-    analysis: &str,
-) -> Result<Option<jedd_store::OrderRecord>, PersistError> {
-    let path = order_record_path(dir, analysis);
-    if !path.exists() {
-        return Ok(None);
-    }
-    Ok(Some(jedd_store::load_order_record(&path)?))
-}

@@ -275,65 +275,6 @@ fn torn_commit_falls_back_to_previous_checkpoint() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The ZDD backend through the same kill-and-resume cycle: an iterative
-/// family closure checkpointed per round, killed mid-rename, resumed
-/// from the previous commit, must land set-identical to an uninterrupted
-/// run.
-#[test]
-fn zdd_closure_resumes_after_kill() {
-    use jedd_bdd::{ZddId, ZddManager};
-    use jedd_store::{resume_latest_zdd, CheckpointMeta};
-
-    const ROUNDS: u32 = 6;
-    // One closure round: grow the family with the set {0, .., r}.
-    let step = |mgr: &ZddManager, state: ZddId, r: u32| {
-        let set: Vec<u32> = (0..=r).collect();
-        mgr.union(state, mgr.singleton(&set))
-    };
-    let run = |dir: &Path, faults: Option<StoreFaults>| -> Result<Vec<Vec<u32>>, PersistError> {
-        let mut cp = Checkpointer::create(dir, CheckpointPolicy::default()).unwrap();
-        if let Some(fa) = faults {
-            cp.set_faults(fa);
-        }
-        let mgr = ZddManager::new(ROUNDS as usize);
-        let mut state = mgr.family(&[]);
-        let mut round = 0;
-        // Restart from the newest commit when one exists.
-        if let Ok(rp) = resume_latest_zdd(dir) {
-            let roots = rp.manager.export_nodes(&[rp.root("state").unwrap()]);
-            state = mgr.import_nodes(&roots.0, &roots.1).unwrap()[0];
-            round = rp.record.round as u32;
-        }
-        while round < ROUNDS {
-            state = step(&mgr, state, round);
-            round += 1;
-            let meta = CheckpointMeta {
-                analysis: "zdd-closure",
-                round: round as u64,
-                phase: 0,
-                aux: 0,
-                rng: 0,
-            };
-            cp.checkpoint_zdd(&meta, &mgr, &[("state", state)])?;
-        }
-        Ok(mgr.sets(state))
-    };
-
-    let clean = tmpdir("zdd-clean");
-    let expected = run(&clean, None).unwrap();
-    let _ = std::fs::remove_dir_all(&clean);
-
-    let dir = tmpdir("zdd-kill");
-    let err = run(&dir, Some(StoreFaults::kill_rename(3))).expect_err("rename kill must fire");
-    assert!(matches!(
-        err,
-        PersistError::Store(StoreError::Killed { .. })
-    ));
-    let got = run(&dir, None).unwrap();
-    assert_eq!(got, expected);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// A *paged* checkpointed run killed mid-eviction: the points-to
 /// analysis runs on a disk-backed universe whose resident-frame budget
 /// forces constant eviction, and `StoreFaults::kill_page_write` tears

@@ -62,9 +62,9 @@ pub enum BddError {
         /// What exactly is wrong with the permutation.
         kind: PermutationFlaw,
     },
-    /// A node list handed to [`crate::BddManager::import_nodes`] (or the
-    /// ZDD equivalent) is not a well-formed, children-first, reduced node
-    /// table, or a [`crate::BddManager::set_order`] precondition failed. Like `InvalidPermutation` this is a caller (or corrupt-input)
+    /// A node list handed to [`crate::BddManager::import_nodes`] is not a
+    /// well-formed, children-first, reduced node table, or a
+    /// [`crate::BddManager::set_order`] precondition failed. Like `InvalidPermutation` this is a caller (or corrupt-input)
     /// mistake, not resource exhaustion: the recovery ladder never retries
     /// it. Validation happens before any node is created, so a rejected
     /// import leaves the arena untouched.

@@ -653,46 +653,4 @@ mod tests {
         let (nodes2, _) = m2.export_nodes(&[&g[0]]);
         assert_eq!(nodes, nodes2);
     }
-
-    #[test]
-    fn zdd_export_import_round_trips() {
-        let z = ZddManager::new(8);
-        let a = z.family(&[vec![0], vec![1, 2], vec![3, 5, 7]]);
-        let b = z.family(&[vec![1, 2], vec![4]]);
-        let (nodes, roots) = z.export_nodes(&[a, b]);
-        let z2 = ZddManager::new(8);
-        let back = z2.import_nodes(&nodes, &roots).unwrap();
-        assert_eq!(z2.sets(back[0]), z.sets(a));
-        assert_eq!(z2.sets(back[1]), z.sets(b));
-        // The ZDD store never garbage-collects, so a fresh import is
-        // id-identical on re-export.
-        let (nodes2, roots2) = z2.export_nodes(&[back[0], back[1]]);
-        assert_eq!(nodes, nodes2);
-        assert_eq!(roots, roots2);
-        // Terminals round-trip as bare slots.
-        let (tn, tr) = z.export_nodes(&[ZddId::EMPTY, ZddId::UNIT]);
-        assert!(tn.is_empty());
-        assert_eq!(tr, vec![0, 1]);
-    }
-
-    #[test]
-    fn zdd_import_rejects_malformed_tables() {
-        let z = ZddManager::new(4);
-        let a = z.family(&[vec![0, 1], vec![2]]);
-        let (nodes, roots) = z.export_nodes(&[a]);
-        let tweaks: [fn(&mut ExportedNode); 3] = [
-            |n| n.var = 99,  // out of range
-            |n| n.low = 100, // forward reference
-            |n| n.high = 0,  // zero-suppressible
-        ];
-        for tweak in tweaks {
-            let mut bad = nodes.clone();
-            tweak(&mut bad[0]);
-            assert!(matches!(
-                z.import_nodes(&bad, &roots),
-                Err(BddError::InvalidImport { .. })
-            ));
-        }
-        assert!(z.import_nodes(&nodes, &[99]).is_err());
-    }
 }

@@ -164,10 +164,9 @@ impl BddManager {
     /// chain-reduced BDD never holds more decision nodes than the plain
     /// BDD of the same function under the same order.
     ///
-    /// Chain managers are *order-static*: [`BddManager::reorder_sift`] and
-    /// [`BddManager::order_search`] degrade to a garbage collection.
-    /// Install a learned order with [`BddManager::set_order`] before
-    /// building nodes instead.
+    /// Chain managers are *order-static*: [`BddManager::reorder_sift`]
+    /// degrades to a garbage collection. Install an order with
+    /// [`BddManager::set_order`] before building nodes instead.
     pub fn new_chained(num_vars: usize) -> BddManager {
         let m = BddManager::new(num_vars);
         m.inner
@@ -195,9 +194,8 @@ impl BddManager {
     /// The determinism contract: a paged manager produces tuple-identical
     /// relations to a fully-resident one at any frame budget — in fact it
     /// allocates node ids in exactly the resident order. Paged managers
-    /// are also order-static:
-    /// [`BddManager::reorder_sift`] and [`BddManager::order_search`]
-    /// degrade to a garbage collection; install a learned order with
+    /// are also order-static: [`BddManager::reorder_sift`] degrades to a
+    /// garbage collection; install an order with
     /// [`BddManager::set_order`] before building nodes.
     ///
     /// # Panics
@@ -574,22 +572,6 @@ impl BddManager {
     /// installed budget: compaction must be free to allocate.
     pub fn reorder_sift(&self) -> (usize, usize) {
         self.inner.borrow_mut().reorder_sift()
-    }
-
-    /// Offline order search beyond sifting: a sift + window-3 permutation
-    /// baseline, then `restarts` rounds that shuffle the profiled hot
-    /// level range (the levels where `mk` allocates most, per
-    /// [`KernelStats::level_activity`]) and re-optimise, parking on the
-    /// best order seen. Deterministic for a given `seed` and arena
-    /// content. Returns `(nodes_before, nodes_after)`.
-    ///
-    /// This is the expensive end of the reorder spectrum — intended for
-    /// an offline "order lab" whose result is persisted and replayed via
-    /// [`BddManager::set_order`] on later runs, not for use inside
-    /// analyses. On a chain-reduced manager it degrades to a collection
-    /// (chain managers are order-static).
-    pub fn order_search(&self, restarts: usize, seed: u64) -> (usize, usize) {
-        self.inner.borrow_mut().order_search(restarts, seed)
     }
 
     /// The current variable order: the variable at each level position,

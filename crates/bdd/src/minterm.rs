@@ -76,7 +76,6 @@ impl Inner {
             return Ok(f);
         };
         let suffix = self.minterm_suffixes(&lits)?;
-        self.record_op_shape(&[f, suffix[0]]);
         self.or_minterm(f, &lits, &suffix, 0)
     }
 
@@ -105,7 +104,7 @@ impl Inner {
         self.prefault(&[f])?;
         let (level, positive) = lits[i];
         if self.level(f) < level {
-            return self.apply_rec(BinOp::Or, f, suffix[i]);
+            return self.apply(BinOp::Or, f, suffix[i]);
         }
         // `f` either tests this level (a chain node yields its tail as the
         // 0-cofactor) or skips it (both cofactors are `f`).

@@ -193,29 +193,6 @@ impl Permutation {
         self.pairs.is_empty()
     }
 
-    /// Returns `true` if every moved variable maps to a larger-or-equal
-    /// variable order position monotonically, i.e. the relative order of the
-    /// support is preserved. Order-preserving permutations admit a cheaper
-    /// single-pass rewrite.
-    pub fn is_order_preserving(&self) -> bool {
-        // `pairs` is sorted by `from`; the permutation is order preserving
-        // when the `to` values are strictly increasing as well, and no
-        // unmoved variable is crossed by a moved one. The latter is hard to
-        // check without the support, so we only report the conservative case
-        // where each variable maps to itself-shifted within disjoint ranges.
-        // Used as a heuristic only; correctness never depends on it.
-        let mut prev = None;
-        for &(_, t) in &self.pairs {
-            if let Some(p) = prev {
-                if t <= p {
-                    return false;
-                }
-            }
-            prev = Some(t);
-        }
-        true
-    }
-
     /// The explicit `(from, to)` pairs, sorted by `from`.
     pub fn pairs(&self) -> &[(u32, u32)] {
         &self.pairs
@@ -306,11 +283,5 @@ mod tests {
             })
         );
         assert!(Permutation::try_from_pairs(&[(0, 1), (1, 0)]).is_ok());
-    }
-
-    #[test]
-    fn order_preserving_detection() {
-        assert!(Permutation::from_pairs(&[(0, 4), (1, 5)]).is_order_preserving());
-        assert!(!Permutation::from_pairs(&[(0, 5), (1, 4)]).is_order_preserving());
     }
 }

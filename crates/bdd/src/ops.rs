@@ -95,19 +95,12 @@ impl BinOp {
 }
 
 impl Inner {
-    /// Top-level entry for binary operations: records the operand shape
-    /// once, then runs the memoised recursion.
-    pub(crate) fn apply(&mut self, op: BinOp, a: u32, b: u32) -> Result<u32, BddError> {
-        self.record_op_shape(&[a, b]);
-        self.apply_rec(op, a, b)
-    }
-
     /// The standard Bryant `apply` with memoisation.
     ///
     /// Fails only when a budget or fail plan is active (see
     /// [`Inner::mk`]); a failed call leaves the table consistent because
     /// partial results carry no external references.
-    pub(crate) fn apply_rec(&mut self, op: BinOp, a: u32, b: u32) -> Result<u32, BddError> {
+    pub(crate) fn apply(&mut self, op: BinOp, a: u32, b: u32) -> Result<u32, BddError> {
         if let Some(r) = op.terminal_case(a, b) {
             return Ok(r);
         }
@@ -127,8 +120,8 @@ impl Inner {
         let m = self.level(a).min(self.level(b));
         let (a0, a1) = self.cofactor_pair(a, m)?;
         let (b0, b1) = self.cofactor_pair(b, m)?;
-        let r0 = self.apply_rec(op, a0, b0)?;
-        let r1 = self.apply_rec(op, a1, b1)?;
+        let r0 = self.apply(op, a0, b0)?;
+        let r1 = self.apply(op, a1, b1)?;
         let r = self.mk(m, r0, r1)?;
         self.cache_store(op.cache_op(), ka, kb, 0, r);
         Ok(r)

@@ -120,7 +120,6 @@ impl Inner {
         if perm.is_identity() || f <= 1 {
             return Ok(f);
         }
-        self.record_op_shape(&[f]);
         self.validate_replace(f, perm)?;
         let pid = self.intern_permutation(perm);
         self.replace_rec(f, perm, pid)

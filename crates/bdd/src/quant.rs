@@ -10,16 +10,9 @@ const F: u32 = NodeId::FALSE.0;
 const T: u32 = NodeId::TRUE.0;
 
 impl Inner {
-    /// Top-level entry for existential quantification: records the
-    /// operand shape once, then runs the memoised recursion.
-    pub(crate) fn exists(&mut self, f: u32, cube: u32) -> Result<u32, BddError> {
-        self.record_op_shape(&[f]);
-        self.exists_rec(f, cube)
-    }
-
     /// Existentially quantifies the variables of the positive cube `cube`
     /// out of `f`.
-    pub(crate) fn exists_rec(&mut self, f: u32, cube: u32) -> Result<u32, BddError> {
+    pub(crate) fn exists(&mut self, f: u32, cube: u32) -> Result<u32, BddError> {
         if f <= 1 || cube == T {
             return Ok(f);
         }
@@ -46,13 +39,13 @@ impl Inner {
         let (f0, f1) = self.cofactor_pair(f, lf)?;
         let r = if lf == lc {
             let next = self.high(c);
-            let r0 = self.exists_rec(f0, next)?;
-            let r1 = self.exists_rec(f1, next)?;
-            self.apply_rec(BinOp::Or, r0, r1)?
+            let r0 = self.exists(f0, next)?;
+            let r1 = self.exists(f1, next)?;
+            self.apply(BinOp::Or, r0, r1)?
         } else {
             debug_assert!(lf < lc);
-            let r0 = self.exists_rec(f0, c)?;
-            let r1 = self.exists_rec(f1, c)?;
+            let r0 = self.exists(f0, c)?;
+            let r1 = self.exists(f1, c)?;
             self.mk(lf, r0, r1)?
         };
         self.cache_store(CacheOp::Exists, f, c, 0, r);
@@ -66,24 +59,17 @@ impl Inner {
         self.not(e)
     }
 
-    /// Top-level entry for the fused relational product: records the
-    /// operand shape once, then runs the memoised recursion.
-    pub(crate) fn and_exists(&mut self, f: u32, g: u32, cube: u32) -> Result<u32, BddError> {
-        self.record_op_shape(&[f, g]);
-        self.and_exists_rec(f, g, cube)
-    }
-
     /// The fused relational product `exists cube. (f & g)`.
     ///
     /// This is the BDD-library primitive behind Jedd's composition (`<>`)
     /// operator; the paper notes it is implemented "more efficiently in one
     /// step" than a join followed by a projection.
-    pub(crate) fn and_exists_rec(&mut self, f: u32, g: u32, cube: u32) -> Result<u32, BddError> {
+    pub(crate) fn and_exists(&mut self, f: u32, g: u32, cube: u32) -> Result<u32, BddError> {
         if f == F || g == F {
             return Ok(F);
         }
         if cube == T {
-            return self.apply_rec(BinOp::And, f, g);
+            return self.apply(BinOp::And, f, g);
         }
         if f == T && g == T {
             return Ok(T);
@@ -100,7 +86,7 @@ impl Inner {
             c = self.high(c);
         }
         if c == T {
-            return self.apply_rec(BinOp::And, f, g);
+            return self.apply(BinOp::And, f, g);
         }
         if let Some(r) = self.cache_lookup(CacheOp::AndExists, f, g, c) {
             return Ok(r);
@@ -109,16 +95,16 @@ impl Inner {
         let (g0, g1) = self.cofactor_pair(g, m)?;
         let r = if self.level(c) == m {
             let next = self.high(c);
-            let r0 = self.and_exists_rec(f0, g0, next)?;
+            let r0 = self.and_exists(f0, g0, next)?;
             if r0 == T {
                 T
             } else {
-                let r1 = self.and_exists_rec(f1, g1, next)?;
-                self.apply_rec(BinOp::Or, r0, r1)?
+                let r1 = self.and_exists(f1, g1, next)?;
+                self.apply(BinOp::Or, r0, r1)?
             }
         } else {
-            let r0 = self.and_exists_rec(f0, g0, c)?;
-            let r1 = self.and_exists_rec(f1, g1, c)?;
+            let r0 = self.and_exists(f0, g0, c)?;
+            let r1 = self.and_exists(f1, g1, c)?;
             self.mk(m, r0, r1)?
         };
         self.cache_store(CacheOp::AndExists, f, g, c, r);

@@ -144,8 +144,8 @@ impl Inner {
         // contiguous level ranges, and an adjacent swap would have to
         // split every chain crossing the boundary. Reordering degrades to
         // a collection (the recovery ladder still gets its compaction);
-        // order *search* runs offline on plain managers and is applied to
-        // chain managers through `set_order` before any node exists.
+        // an order reaches a chain manager only through `set_order`
+        // before any node exists.
         // Paged managers are order-static too: the swap passes index the
         // arena slice directly, and level geometry rewrites would have to
         // stream every on-disk block through the pool per swap.
@@ -226,139 +226,6 @@ impl Inner {
             self.gc();
         }
         self.gc();
-        (before, self.live_decision_nodes())
-    }
-
-    /// Moves the variable at level `from` to level `to` by adjacent swaps,
-    /// shifting the variables in between by one position.
-    fn move_level(&mut self, from: u32, to: u32) {
-        let mut cur = from;
-        while cur > to {
-            self.swap_adjacent(cur - 1);
-            cur -= 1;
-        }
-        while cur < to {
-            self.swap_adjacent(cur);
-            cur += 1;
-        }
-    }
-
-    /// Rebuilds the arena into an explicit `level2var` order via adjacent
-    /// swaps (every node id keeps its function throughout).
-    fn force_order(&mut self, target: &[u32]) {
-        debug_assert_eq!(target.len(), self.num_vars() as usize);
-        for (lvl, &var) in target.iter().enumerate() {
-            let at = self.var2level[var as usize];
-            self.move_level(at, lvl as u32);
-        }
-    }
-
-    /// One window-permutation pass: for every run of three adjacent
-    /// levels, tries all six orderings of the window (via the adjacent
-    /// swap cycle `s0 s1 s0 s1 s0 s1`, which returns to the identity) and
-    /// parks on the smallest arena. Catches local minima plain sifting
-    /// cannot see, because sifting only ever moves one variable at a time.
-    fn window3_pass(&mut self) {
-        let n = self.num_vars();
-        if n < 3 {
-            return;
-        }
-        for l in 0..(n - 2) {
-            let seq = [l, l + 1, l, l + 1, l, l + 1];
-            let mut best = self.live_decision_nodes();
-            let mut best_idx = 0usize;
-            for (i, &s) in seq.iter().enumerate().take(5) {
-                self.swap_adjacent(s);
-                self.gc();
-                let count = self.live_decision_nodes();
-                if count < best {
-                    best = count;
-                    best_idx = i + 1;
-                }
-            }
-            // Close the cycle (back to the incoming permutation), then
-            // replay the prefix that reached the best of the six states.
-            self.swap_adjacent(seq[5]);
-            for &s in seq.iter().take(best_idx) {
-                self.swap_adjacent(s);
-            }
-            self.gc();
-        }
-    }
-
-    /// The profiled hot level range: the level-activity bucket with the
-    /// most `mk` allocations, widened by an eighth of the order on each
-    /// side. Restarts shuffle inside this window — the levels where the
-    /// workload actually allocates are where a different relative order
-    /// changes the node count.
-    fn hot_window(&self) -> (usize, usize) {
-        let n = self.num_vars() as usize;
-        let mut hot = 0usize;
-        for (i, &c) in self.stats.level_activity.iter().enumerate() {
-            if c > self.stats.level_activity[hot] {
-                hot = i;
-            }
-        }
-        let mut lo = (hot * n / 16).saturating_sub(n / 8);
-        let mut hi = (((hot + 1) * n / 16) + n / 8).min(n.saturating_sub(1));
-        if lo >= hi {
-            lo = 0;
-            hi = n - 1;
-        }
-        (lo, hi)
-    }
-
-    /// Offline order search beyond sifting: a sift-then-window-permute
-    /// baseline, followed by `restarts` rounds that shuffle the variables
-    /// of the profiled hot level range (escaping the sift's local
-    /// minimum) and re-optimise. Parks on the best order seen; returns
-    /// the live decision-node count before and after. Deterministic for a
-    /// given `seed` and arena.
-    ///
-    /// On a chain-mode or paged manager this degrades to a collection,
-    /// like [`Inner::reorder_sift`]: those managers are order-static.
-    pub(crate) fn order_search(&mut self, restarts: usize, seed: u64) -> (usize, usize) {
-        if self.chain_mode() || self.paged() {
-            self.gc();
-            let n = self.live_decision_nodes();
-            return (n, n);
-        }
-        let was_suspended = self.governor_suspended();
-        self.suspend_governor(true);
-        self.clear_cache();
-        self.gc();
-        let before = self.live_decision_nodes();
-        self.stats.sift_sweeps += 1;
-        self.reorder_sift_inner();
-        self.window3_pass();
-        let mut best_count = self.live_decision_nodes();
-        let mut best_order = self.level2var.clone();
-        let mut rng = crate::rng::XorShift64Star::new(seed | 1);
-        let n = self.num_vars() as usize;
-        for _ in 0..restarts {
-            if n >= 2 {
-                let (wlo, whi) = self.hot_window();
-                // Fisher-Yates over the hot window's levels, realised as
-                // adjacent swaps so external handles stay valid.
-                for i in (wlo + 1..=whi).rev() {
-                    let j = wlo + rng.gen_index(0..(i - wlo + 1));
-                    self.move_level(i as u32, j as u32);
-                }
-                self.gc();
-            }
-            self.stats.sift_sweeps += 1;
-            self.reorder_sift_inner();
-            self.window3_pass();
-            let count = self.live_decision_nodes();
-            if count < best_count {
-                best_count = count;
-                best_order = self.level2var.clone();
-            }
-        }
-        self.force_order(&best_order);
-        self.clear_cache();
-        self.gc();
-        self.suspend_governor(was_suspended);
         (before, self.live_decision_nodes())
     }
 }

@@ -118,21 +118,7 @@ pub struct KernelStats {
     pub chain_len_sum: u64,
     /// Longest chain interval created.
     pub chain_len_max: u64,
-    /// Node allocations bucketed into sixteenths of the level range — the
-    /// profile signal the order-search restarts read to find hot level
-    /// regions. Bucket 0 is the top of the order.
-    pub level_activity: [u64; 16],
-    /// Sum of operand level spans (`num_vars - min operand top level`)
-    /// recorded at the entry of each top-level apply / quantification /
-    /// replace.
-    pub op_span_sum: u64,
-    /// Largest operand level span recorded.
-    pub op_span_max: u64,
-    /// Top-level operations contributing to the span counters.
-    pub op_span_samples: u64,
-    /// Full sifting sweeps run (`reorder_sift` invocations, including the
-    /// ones the order search issues internally). A warm run started from a
-    /// persisted learned order must keep this at zero.
+    /// Full sifting sweeps run (`reorder_sift` invocations).
     pub sift_sweeps: u64,
     /// Block fault-ins served by the pager (paged managers only). Equal to
     /// [`KernelStats::page_reads`] by construction: fresh blocks are born
@@ -686,10 +672,6 @@ impl Inner {
             self.stats.chain_len_sum += len;
             self.stats.chain_len_max = self.stats.chain_len_max.max(len);
         }
-        if self.num_vars > 0 {
-            let bucket = (level as usize * 16 / self.num_vars as usize).min(15);
-            self.stats.level_activity[bucket] += 1;
-        }
         let next = self.buckets[h];
         self.nodes.try_update(id as usize, |n| {
             *n = Node {
@@ -737,32 +719,6 @@ impl Inner {
         }
         let tail = self.mk_span(m + 1, n.bot, n.low, n.high)?;
         Ok((tail, 0))
-    }
-
-    /// Records operand shape for a top-level operation: the level span
-    /// from the highest operand root to the bottom of the order (the
-    /// region the recursion can touch). Feeds the profiler's node-shapes
-    /// row and the order-search hot-range heuristic.
-    pub(crate) fn record_op_shape(&mut self, operands: &[u32]) {
-        let mut top = u32::MAX;
-        for &f in operands {
-            if f > 1 {
-                // Profiling must not escalate a pager fault into a panic:
-                // skip the sample and let the operation itself surface the
-                // parked error as a typed result at its first `step`.
-                match self.nodes.try_read(f as usize) {
-                    Ok(n) => top = top.min(n.level),
-                    Err(_) => return,
-                }
-            }
-        }
-        if top == u32::MAX {
-            return;
-        }
-        let span = (self.num_vars - top) as u64;
-        self.stats.op_span_sum += span;
-        self.stats.op_span_max = self.stats.op_span_max.max(span);
-        self.stats.op_span_samples += 1;
     }
 
     /// Grows the unique table if the load factor exceeds 1.5 nodes per

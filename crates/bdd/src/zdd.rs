@@ -6,8 +6,6 @@
 //! operations the relational layer needs, plus tuple construction and
 //! enumeration. The `zdd_backend` bench compares it against the BDD kernel.
 
-use crate::budget::BddError;
-use crate::manager::ExportedNode;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
@@ -25,15 +23,11 @@ impl ZddId {
     pub const UNIT: ZddId = ZddId(1);
 }
 
-/// A ZDD node. `bot` is the chain interval's bottom variable (Bryant's
-/// CZDD reduction, TACAS 2018): a node with `bot > var` encodes a
-/// don't-care chain over `var..bot-1` followed by the decision
-/// `(¬x_bot·low + x_bot·high)` in ZDD semantics. Plain managers only ever
-/// create the `bot == var` degenerate case.
+/// A ZDD node: the sets without `var` (`low`) and the sets with `var`
+/// removed (`high`).
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct ZNode {
     var: u32,
-    bot: u32,
     low: u32,
     high: u32,
 }
@@ -53,62 +47,16 @@ struct ZInner {
     unique: HashMap<ZNode, u32>,
     cache: HashMap<(ZOp, u32, u32), u32>,
     num_vars: u32,
-    chain: bool,
 }
 
 impl ZInner {
+    /// The canonical node for `(var, low, high)`; a node whose high edge is
+    /// the empty family is suppressed to `low`.
     fn mk(&mut self, var: u32, low: u32, high: u32) -> u32 {
-        self.mk_span(var, var, low, high)
-    }
-
-    /// The variable a node tests first (`u32::MAX` for terminals).
-    fn top(&self, a: u32) -> u32 {
-        self.nodes[a as usize].var
-    }
-
-    /// Chain-reduced constructor: the canonical node for the don't-care
-    /// chain `DC(t..b-1) · (¬x_b·f0 + x_b·f1)`.
-    ///
-    /// Canonicalisation (Bryant, TACAS 2018, CZDD flavour):
-    ///
-    /// 1. `⟨t:b, f, 0⟩ ≡ ⟨t:b-1, f, f⟩` (and `⟨t:t, f, 0⟩ ≡ f`, the
-    ///    plain zero-suppression rule) — an empty high edge folds the
-    ///    bottom level into the don't-care chain;
-    /// 2. `⟨t:b, f, f⟩` with `f = ⟨b+1:b2, g0, g1⟩` `≡ ⟨t:b2, g0, g1⟩` —
-    ///    a don't-care bottom whose child continues directly below absorbs
-    ///    the child's chain (chain mode only: plain ZDDs keep their
-    ///    `low == high` don't-care nodes).
-    ///
-    /// The canonical invariant is `f1 != 0` and *not* (`f0 == f1` and
-    /// `f0`'s top variable is `b + 1`). With chain mode off this
-    /// degenerates to the plain rule (`t == b` always).
-    fn mk_span(&mut self, t: u32, mut b: u32, mut f0: u32, mut f1: u32) -> u32 {
-        debug_assert!(self.chain || t == b, "chain span in a plain zdd manager");
-        loop {
-            if f1 == 0 {
-                if t == b {
-                    return f0;
-                }
-                b -= 1;
-                f1 = f0;
-            } else if self.chain && f0 == f1 && f0 > 1 && self.nodes[f0 as usize].var == b + 1 {
-                let c = self.nodes[f0 as usize];
-                b = c.bot;
-                f0 = c.low;
-                f1 = c.high;
-                // The child was canonical, so its (f0, f1) pair cannot
-                // trigger either rule again.
-                break;
-            } else {
-                break;
-            }
+        if high == 0 {
+            return low;
         }
-        let key = ZNode {
-            var: t,
-            bot: b,
-            low: f0,
-            high: f1,
-        };
+        let key = ZNode { var, low, high };
         if let Some(&id) = self.unique.get(&key) {
             return id;
         }
@@ -118,34 +66,20 @@ impl ZInner {
         id
     }
 
-    /// The cofactor pair of `a` at variable `m`: (sets without `m`, sets
-    /// with `m` — `m` removed), both over variables `> m`. Requires
-    /// `m <= top(a)`; above the top the variable is absent from every set.
-    /// Don't-care chain levels cofactor to the same tail on both sides.
-    fn zcof(&mut self, a: u32, m: u32) -> (u32, u32) {
-        if a <= 1 {
-            return (a, 0);
-        }
-        let n = self.nodes[a as usize];
-        if n.var > m {
-            return (a, 0);
-        }
-        debug_assert_eq!(n.var, m, "zcof below the top variable");
-        if m == n.bot {
-            (n.low, n.high)
-        } else {
-            let tail = self.mk_span(m + 1, n.bot, n.low, n.high);
-            (tail, tail)
-        }
+    /// The variable a node tests first (`u32::MAX` for terminals).
+    fn top(&self, a: u32) -> u32 {
+        self.nodes[a as usize].var
     }
 
-    /// `DC(t..end-1) · f`: a don't-care span over the half-open range
-    /// `t..end` in front of `f` (identity when the range is empty).
-    fn dc_span(&mut self, t: u32, end: u32, f: u32) -> u32 {
-        if end <= t {
-            f
+    /// The cofactor pair of `a` at variable `m`: (sets without `m`, sets
+    /// with `m` — `m` removed). Requires `m <= top(a)`; above the top the
+    /// variable is absent from every set.
+    fn zcof(&self, a: u32, m: u32) -> (u32, u32) {
+        let n = self.nodes[a as usize];
+        if n.var > m {
+            (a, 0)
         } else {
-            self.mk_span(t, end - 1, f, f)
+            (n.low, n.high)
         }
     }
 
@@ -160,10 +94,8 @@ impl ZInner {
         if let Some(&r) = self.cache.get(&(ZOp::Union, a, b)) {
             return r;
         }
-        // Generic merge on the cofactors at the higher top variable (UNIT
-        // reports `u32::MAX`, so `a == 1` descends b's low spine as the
-        // structural merge did). In a plain manager `zcof` is exactly the
-        // stored child pair, so ids and cache behaviour are unchanged.
+        // Merge on the cofactors at the higher top variable (UNIT reports
+        // `u32::MAX`, so `a == 1` descends b's low spine).
         let m = self.top(a).min(self.top(b));
         let (a0, a1) = self.zcof(a, m);
         let (b0, b1) = self.zcof(b, m);
@@ -249,18 +181,12 @@ impl ZInner {
         if let Some(&r) = self.cache.get(&key) {
             return r;
         }
-        let r = if var < na.bot {
-            // A don't-care chain level: drop it from the chain, keep the
-            // don't-care prefix above it.
-            let tail = self.mk_span(var + 1, na.bot, na.low, na.high);
-            self.dc_span(na.var, var, tail)
-        } else if var == na.bot {
-            // The decision level: keep the low branch under the prefix.
-            self.dc_span(na.var, na.bot, na.low)
+        let r = if var == na.var {
+            na.low
         } else {
             let lo = self.subset0(na.low, var);
             let hi = self.subset0(na.high, var);
-            self.mk_span(na.var, na.bot, lo, hi)
+            self.mk(na.var, lo, hi)
         };
         self.cache.insert(key, r);
         r
@@ -279,18 +205,12 @@ impl ZInner {
         if let Some(&r) = self.cache.get(&key) {
             return r;
         }
-        let r = if var < na.bot {
-            // Don't-care level: the sets containing `var` biject (by
-            // removing it) onto the sets without it — same result as
-            // `subset0`.
-            let tail = self.mk_span(var + 1, na.bot, na.low, na.high);
-            self.dc_span(na.var, var, tail)
-        } else if var == na.bot {
-            self.dc_span(na.var, na.bot, na.high)
+        let r = if var == na.var {
+            na.high
         } else {
             let lo = self.subset1(na.low, var);
             let hi = self.subset1(na.high, var);
-            self.mk_span(na.var, na.bot, lo, hi)
+            self.mk(na.var, lo, hi)
         };
         self.cache.insert(key, r);
         r
@@ -311,16 +231,12 @@ impl ZInner {
             let na = self.nodes[a as usize];
             if na.var > var {
                 self.mk(var, 0, a)
-            } else if var < na.bot {
-                // Toggling a don't-care level permutes the family onto
-                // itself.
-                a
-            } else if var == na.bot {
-                self.mk_span(na.var, na.bot, na.high, na.low)
+            } else if var == na.var {
+                self.mk(var, na.high, na.low)
             } else {
                 let lo = self.change(na.low, var);
                 let hi = self.change(na.high, var);
-                self.mk_span(na.var, na.bot, lo, hi)
+                self.mk(na.var, lo, hi)
             }
         };
         self.cache.insert(key, r);
@@ -338,9 +254,7 @@ impl ZInner {
             return c;
         }
         let n = self.nodes[a as usize];
-        // Each don't-care chain level doubles the family.
-        let c = (self.count(n.low, memo) + self.count(n.high, memo))
-            * (2f64).powi((n.bot - n.var) as i32);
+        let c = self.count(n.low, memo) + self.count(n.high, memo);
         memo.insert(a, c);
         c
     }
@@ -394,47 +308,19 @@ impl fmt::Debug for ZddManager {
 impl ZddManager {
     /// Creates a ZDD manager over `num_vars` variables.
     pub fn new(num_vars: usize) -> ZddManager {
-        ZddManager::new_inner(num_vars, false)
-    }
-
-    /// Creates a chain-reduced (CZDD) manager: nodes may carry a chain
-    /// interval encoding a don't-care span (Bryant, TACAS 2018), so
-    /// families where many variables are "present or absent freely" store
-    /// one node per span. A CZDD never holds more nodes than the plain
-    /// ZDD of the same family.
-    pub fn new_chained(num_vars: usize) -> ZddManager {
-        ZddManager::new_inner(num_vars, true)
-    }
-
-    fn new_inner(num_vars: usize, chain: bool) -> ZddManager {
+        let terminal = |id| ZNode {
+            var: u32::MAX,
+            low: id,
+            high: id,
+        };
         ZddManager {
             inner: Rc::new(RefCell::new(ZInner {
-                nodes: vec![
-                    ZNode {
-                        var: u32::MAX,
-                        bot: u32::MAX,
-                        low: 0,
-                        high: 0,
-                    },
-                    ZNode {
-                        var: u32::MAX,
-                        bot: u32::MAX,
-                        low: 1,
-                        high: 1,
-                    },
-                ],
+                nodes: vec![terminal(0), terminal(1)],
                 unique: HashMap::new(),
                 cache: HashMap::new(),
                 num_vars: num_vars as u32,
-                chain,
             })),
         }
-    }
-
-    /// `true` when this manager applies chain reduction (created via
-    /// [`ZddManager::new_chained`]).
-    pub fn chain_mode(&self) -> bool {
-        self.inner.borrow().chain
     }
 
     /// Number of variables.
@@ -532,10 +418,7 @@ impl ZddManager {
         let inner = self.inner.borrow();
         let mut out = Vec::new();
         let mut prefix = Vec::new();
-        // `top` is the effective top variable of `id`: chain nodes expand
-        // their don't-care levels one at a time (both with and without the
-        // variable) before the decision at `bot`.
-        fn rec(inner: &ZInner, id: u32, top: u32, prefix: &mut Vec<u32>, out: &mut Vec<Vec<u32>>) {
+        fn rec(inner: &ZInner, id: u32, prefix: &mut Vec<u32>, out: &mut Vec<Vec<u32>>) {
             if id == 0 {
                 return;
             }
@@ -544,150 +427,14 @@ impl ZddManager {
                 return;
             }
             let n = inner.nodes[id as usize];
-            if top < n.bot {
-                rec(inner, id, top + 1, prefix, out);
-                prefix.push(top);
-                rec(inner, id, top + 1, prefix, out);
-                prefix.pop();
-                return;
-            }
-            rec(inner, n.low, inner.top(n.low), prefix, out);
-            prefix.push(n.bot);
-            rec(inner, n.high, inner.top(n.high), prefix, out);
+            rec(inner, n.low, prefix, out);
+            prefix.push(n.var);
+            rec(inner, n.high, prefix, out);
             prefix.pop();
         }
-        let top = inner.top(a.0);
-        rec(&inner, a.0, top, &mut prefix, &mut out);
+        rec(&inner, a.0, &mut prefix, &mut out);
         out.sort();
         out
-    }
-
-    /// Serializes the sub-DAGs under `roots` as a children-first node
-    /// table plus the slot of each root — the ZDD analogue of
-    /// [`crate::BddManager::export_nodes`], using the same
-    /// [`ExportedNode`]/slot encoding (slot 0 = [`ZddId::EMPTY`], slot 1 =
-    /// [`ZddId::UNIT`], entry `i` = slot `i + 2`).
-    pub fn export_nodes(&self, roots: &[ZddId]) -> (Vec<ExportedNode>, Vec<u32>) {
-        let inner = self.inner.borrow();
-        let mut slot: HashMap<u32, u32> = HashMap::new();
-        slot.insert(0, 0);
-        slot.insert(1, 1);
-        let mut out: Vec<ExportedNode> = Vec::new();
-        let mut stack: Vec<(u32, bool)> = Vec::new();
-        for r in roots {
-            stack.push((r.0, false));
-            while let Some((id, expanded)) = stack.pop() {
-                if slot.contains_key(&id) {
-                    continue;
-                }
-                let n = inner.nodes[id as usize];
-                if expanded {
-                    // A chain node expands to its plain spine: the decision
-                    // node at `bot`, then one don't-care `(next, next)` node
-                    // per chain level walking back up to `var`. Plain
-                    // managers emit exactly one entry per node, so their
-                    // tables are unchanged. The id maps to the topmost slot.
-                    out.push(ExportedNode {
-                        var: n.bot,
-                        low: slot[&n.low],
-                        high: slot[&n.high],
-                    });
-                    let mut acc = out.len() as u32 + 1;
-                    for l in (n.var..n.bot).rev() {
-                        out.push(ExportedNode {
-                            var: l,
-                            low: acc,
-                            high: acc,
-                        });
-                        acc = out.len() as u32 + 1;
-                    }
-                    slot.insert(id, acc);
-                } else {
-                    stack.push((id, true));
-                    stack.push((n.high, false));
-                    stack.push((n.low, false));
-                }
-            }
-        }
-        let root_slots = roots.iter().map(|r| slot[&r.0]).collect();
-        (out, root_slots)
-    }
-
-    /// Rebuilds the ZDDs described by a node table from
-    /// [`ZddManager::export_nodes`], returning an id per root slot. Entries
-    /// are re-interned through the unique table, so importing into a fresh
-    /// manager assigns the same node ids on every run (this kernel never
-    /// garbage-collects, so ids are allocation-ordered).
-    ///
-    /// The whole table is validated before the first node is created.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BddError::InvalidImport`] when the table is malformed:
-    /// variable out of range, forward or self reference, the parent's
-    /// variable not above a child's, or a zero-suppressible entry (high
-    /// edge = empty family) that `mk` would have removed.
-    pub fn import_nodes(
-        &self,
-        nodes: &[ExportedNode],
-        roots: &[u32],
-    ) -> Result<Vec<ZddId>, BddError> {
-        const TERMINAL: u32 = u32::MAX;
-        let mut inner = self.inner.borrow_mut();
-        let mut vars: Vec<u32> = Vec::with_capacity(nodes.len());
-        for (i, n) in nodes.iter().enumerate() {
-            let index = i as u32;
-            if n.var >= inner.num_vars {
-                return Err(BddError::InvalidImport {
-                    index,
-                    reason: "variable out of range",
-                });
-            }
-            for child in [n.low, n.high] {
-                if child as usize >= i + 2 {
-                    return Err(BddError::InvalidImport {
-                        index,
-                        reason: "child slot is not an earlier entry",
-                    });
-                }
-                let child_var = if child < 2 {
-                    TERMINAL
-                } else {
-                    vars[child as usize - 2]
-                };
-                if n.var >= child_var {
-                    return Err(BddError::InvalidImport {
-                        index,
-                        reason: "child does not sit below its parent in the order",
-                    });
-                }
-            }
-            if n.high == 0 {
-                return Err(BddError::InvalidImport {
-                    index,
-                    reason: "zero-suppressible entry (empty high edge)",
-                });
-            }
-            vars.push(n.var);
-        }
-        for (i, &r) in roots.iter().enumerate() {
-            if r as usize >= nodes.len() + 2 {
-                return Err(BddError::InvalidImport {
-                    index: i as u32,
-                    reason: "root slot out of range",
-                });
-            }
-        }
-        let mut ids: Vec<u32> = Vec::with_capacity(nodes.len() + 2);
-        ids.push(0);
-        ids.push(1);
-        for n in nodes {
-            let low = ids[n.low as usize];
-            let high = ids[n.high as usize];
-            let id = inner.mk(n.var, low, high);
-            ids.push(id);
-        }
-        Ok(roots.iter().map(|&r| ZddId(ids[r as usize])).collect())
     }
 
     /// Encodes a tuple of `(bits, value)` fields as a set: variable `b` is

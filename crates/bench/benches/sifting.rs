@@ -41,12 +41,6 @@ fn bench_sifting(c: &mut Criterion) {
     );
     eprintln!("blocked equality over {BITS}-bit vectors: {before} nodes -> {after} after sifting");
 
-    // The order lab's search (sifting + window-3 + hot-window restarts)
-    // on the same pessimal start, for comparison against plain sifting.
-    let (mgr2, eq2) = blocked_equality();
-    let ((search_before, search_after), search_s) =
-        jedd_bench::timed(|| mgr2.order_search(2, 0x5EED));
-    assert_eq!(eq2.satcount(), count, "order search preserves the function");
     write_section(
         "sifting",
         &JsonObject::new()
@@ -54,10 +48,7 @@ fn bench_sifting(c: &mut Criterion) {
             .int("nodes_before", before as u64)
             .int("nodes_after_sift", after as u64)
             .float("sift_s", sift_s)
-            .int("search_before", search_before as u64)
-            .int("search_after", search_after as u64)
-            .float("search_s", search_s)
-            .int("sift_sweeps", mgr2.kernel_stats().sift_sweeps),
+            .int("sift_sweeps", mgr.kernel_stats().sift_sweeps),
     );
 }
 

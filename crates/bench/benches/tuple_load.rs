@@ -26,8 +26,8 @@ struct Fact {
 /// Loads `b` on `backend` and keeps only the universe and each base
 /// relation's tuples; the relations themselves are dropped and collected.
 fn facts(b: Benchmark, backend: Backend) -> (Universe, Vec<Fact>) {
-    let f = Facts::load_configured(&b.generate(), Universe::new_with_backend(backend), None)
-        .expect("facts");
+    let f =
+        Facts::load_configured(&b.generate(), Universe::new_with_backend(backend)).expect("facts");
     let rels = [
         &f.extend,
         &f.declares,

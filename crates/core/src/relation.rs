@@ -316,20 +316,14 @@ impl Relation {
     }
 
     /// The node count of this relation's tuple set as a zero-suppressed
-    /// decision diagram of its kernel's flavour: a plain ZDD on a
-    /// [`Backend::Bdd`](crate::Backend::Bdd) universe, a chain-reduced
-    /// ZDD (CZDD) on a [`Backend::Cbdd`](crate::Backend::Cbdd) one. Each
-    /// physical-domain bit is one ZDD variable.
+    /// decision diagram, on either kernel. Each physical-domain bit is one
+    /// ZDD variable.
     ///
     /// The tuples are enumerated into a fresh ZDD manager, so this is a
     /// measurement for benches and the profiler, not an operational path.
     pub fn zdd_node_count(&self) -> usize {
         let nvars = self.universe.bdd_manager().num_vars();
-        let z = if self.universe.backend().is_chained() {
-            jedd_bdd::ZddManager::new_chained(nvars)
-        } else {
-            jedd_bdd::ZddManager::new(nvars)
-        };
+        let z = jedd_bdd::ZddManager::new(nvars);
         let fields: Vec<Vec<u32>> = self
             .schema
             .iter()

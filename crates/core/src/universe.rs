@@ -90,8 +90,7 @@ pub struct UniverseStats {
 /// Both kernels compute the same relations; they differ only in node
 /// representation. A relation's zero-suppressed size is a measurement,
 /// not a backend: [`crate::Relation::zdd_node_count`] re-encodes the
-/// tuples into a ZDD of the kernel's own flavour, so one run on each
-/// kernel yields all four node counts (BDD, ZDD, CBDD, CZDD).
+/// tuples into a plain ZDD on either kernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// Plain reduced ordered BDDs (the default).
@@ -105,27 +104,6 @@ impl Backend {
     /// True when the kernel runs with chain-reduced nodes.
     pub fn is_chained(self) -> bool {
         self == Backend::Cbdd
-    }
-
-    /// The stable single-byte tag used by the snapshot format.
-    pub fn tag(self) -> u8 {
-        match self {
-            Backend::Bdd => 0,
-            Backend::Cbdd => 2,
-        }
-    }
-
-    /// The backend for a snapshot tag, if it names one. Tags 1 and 3
-    /// named the ZDD-accounted variants of the plain and the chained
-    /// kernel, which ran the algebra on that same kernel; they decode as
-    /// [`Backend::Bdd`] and [`Backend::Cbdd`], so records written with
-    /// them keep loading.
-    pub fn from_tag(tag: u8) -> Option<Backend> {
-        match tag {
-            0 | 1 => Some(Backend::Bdd),
-            2 | 3 => Some(Backend::Cbdd),
-            _ => None,
-        }
     }
 
     /// The lowercase name used in bench output and CLI flags.
@@ -372,24 +350,6 @@ impl Universe {
         id
     }
 
-    /// The number of BDD variables belonging to *named* physical domains.
-    ///
-    /// Named domains are all registered up front (before any relation
-    /// exists), so their variables are exactly `0..named_var_count()`;
-    /// anything beyond belongs to anonymous scratch domains allocated on
-    /// demand by the dynamic relational API. A learned variable order is
-    /// persisted projected onto this prefix — scratch variables are
-    /// transient and a fresh universe does not have them yet.
-    pub fn named_var_count(&self) -> usize {
-        self.inner
-            .borrow()
-            .physdoms
-            .iter()
-            .filter(|pd| !pd.anonymous)
-            .map(|pd| pd.bits.len())
-            .sum()
-    }
-
     /// Registers a physical domain of `bits` BDD variables, allocated as a
     /// contiguous block at the bottom of the current variable order.
     pub fn add_physical_domain(&self, name: &str, bits: usize) -> PhysDomId {
@@ -471,7 +431,7 @@ impl Universe {
     /// same relative order. The replace is then an order-preserving
     /// permutation, which the kernel rebuilds with one `mk` per node
     /// instead of an `ite`. Reading the current levels keeps the choice
-    /// right after sifting and under a learned order.
+    /// right after sifting and under an order installed by snapshot restore.
     pub(crate) fn relocation_physdom(
         &self,
         from: PhysDomId,

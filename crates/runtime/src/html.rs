@@ -273,32 +273,12 @@ fn kernel_section(k: &KernelStats) -> String {
     } else {
         k.chain_len_sum as f64 / k.chain_nodes_created as f64
     };
-    let avg_span = if k.op_span_samples == 0 {
-        0.0
-    } else {
-        k.op_span_sum as f64 / k.op_span_samples as f64
-    };
-    let hottest = k
-        .level_activity
-        .iter()
-        .enumerate()
-        .max_by_key(|&(_, n)| n)
-        .map(|(b, _)| b)
-        .unwrap_or(0);
     let _ = writeln!(
         out,
         "<h3>Node shapes</h3>\
          <p>{} chain nodes created (avg span {:.1}, max {}), \
-         {} operation-span samples (avg {:.1} levels, max {}), \
-         hottest level band {} of 16, {} sifting sweeps.</p>",
-        k.chain_nodes_created,
-        avg_chain,
-        k.chain_len_max,
-        k.op_span_samples,
-        avg_span,
-        k.op_span_max,
-        hottest,
-        k.sift_sweeps
+         {} sifting sweeps.</p>",
+        k.chain_nodes_created, avg_chain, k.chain_len_max, k.sift_sweeps
     );
     out
 }
@@ -437,24 +417,15 @@ mod tests {
 
     #[test]
     fn kernel_section_reports_node_shape_counters() {
-        let mut level_activity = [0u64; 16];
-        level_activity[5] = 900;
-        level_activity[2] = 10;
         let stats = KernelStats {
             chain_nodes_created: 4,
             chain_len_sum: 10,
             chain_len_max: 5,
-            op_span_sum: 30,
-            op_span_max: 12,
-            op_span_samples: 6,
             sift_sweeps: 3,
-            level_activity,
             ..Default::default()
         };
         let html = render_html_with_kernel(&Profiler::new(), Some(&stats));
-        assert!(html.contains("4 chain nodes created (avg span 2.5, max 5)"));
-        assert!(html.contains("6 operation-span samples (avg 5.0 levels, max 12)"));
-        assert!(html.contains("hottest level band 5 of 16, 3 sifting sweeps"));
+        assert!(html.contains("4 chain nodes created (avg span 2.5, max 5), 3 sifting sweeps."));
     }
 
     #[test]

@@ -9,19 +9,15 @@
 //! checkpoint remains the resume point. Pruning keeps the two most recent
 //! snapshots so that exact window always has a fallback.
 //!
-//! [`resume_latest_bdd`]/[`resume_latest_zdd`] walk the committed records
-//! newest-first and return the first whose snapshot still loads cleanly,
-//! logging a warning for each corrupt or missing one they skip.
+//! [`resume_latest_bdd`] walks the committed records newest-first and
+//! returns the first whose snapshot still loads cleanly, logging a warning
+//! for each corrupt or missing one it skips.
 
 use crate::error::StoreError;
 use crate::faults::{FaultClock, StoreFaults};
 use crate::io::{truncate_synced, write_atomic};
-use crate::snapshot::{
-    encode_bdd_snapshot, encode_zdd_snapshot, load_bdd_snapshot, load_zdd_snapshot, BACKEND_BDD,
-    BACKEND_ZDD,
-};
+use crate::snapshot::{encode_bdd_snapshot, load_bdd_snapshot, BACKEND_BDD};
 use crate::wal::{append_record, read_records, read_records_prefix, LogRecord};
-use jedd_bdd::{ZddId, ZddManager};
 use jedd_core::{Relation, Universe, UniverseStats};
 use std::path::{Path, PathBuf};
 
@@ -143,7 +139,6 @@ impl Checkpointer {
     fn commit(
         &mut self,
         meta: &CheckpointMeta<'_>,
-        backend: u8,
         bytes: Vec<u8>,
         stats: UniverseStats,
     ) -> Result<u64, StoreError> {
@@ -159,7 +154,7 @@ impl Checkpointer {
             phase: meta.phase,
             aux: meta.aux,
             snapshot,
-            backend,
+            backend: BACKEND_BDD,
             rng: meta.rng,
             auto_replaces: stats.auto_replaces,
             relational_ops: stats.relational_ops,
@@ -216,23 +211,7 @@ impl Checkpointer {
             universe.bdd_manager().set_pager_faults(pf);
         }
         let bytes = encode_bdd_snapshot(universe, relations);
-        self.commit(meta, BACKEND_BDD, bytes, universe.stats())
-    }
-
-    /// Commits a checkpoint of named ZDD roots. Returns the sequence
-    /// number.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Checkpointer::checkpoint_bdd`].
-    pub fn checkpoint_zdd(
-        &mut self,
-        meta: &CheckpointMeta<'_>,
-        manager: &ZddManager,
-        roots: &[(&str, ZddId)],
-    ) -> Result<u64, StoreError> {
-        let bytes = encode_zdd_snapshot(manager, roots);
-        self.commit(meta, BACKEND_ZDD, bytes, UniverseStats::default())
+        self.commit(meta, bytes, universe.stats())
     }
 }
 
@@ -254,23 +233,6 @@ impl BddResumePoint {
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, r)| r)
-    }
-}
-
-/// A loaded ZDD resume point.
-pub struct ZddResumePoint {
-    /// The log record that committed this checkpoint.
-    pub record: LogRecord,
-    /// The rebuilt manager.
-    pub manager: ZddManager,
-    /// The named roots, in snapshot order.
-    pub roots: Vec<(String, ZddId)>,
-}
-
-impl ZddResumePoint {
-    /// The root with the given name, if present.
-    pub fn root(&self, name: &str) -> Option<ZddId> {
-        self.roots.iter().find(|(n, _)| n == name).map(|&(_, r)| r)
     }
 }
 
@@ -338,37 +300,6 @@ pub fn resume_latest_bdd(dir: &Path) -> Result<BddResumePoint, StoreError> {
                     universe: snap.universe,
                     relations: snap.relations,
                 });
-            }
-            Err(e) => skip_warning(dir, &record, &e),
-        }
-    }
-    Err(StoreError::NoCheckpoint {
-        dir: dir.to_path_buf(),
-    })
-}
-
-/// Loads the newest resumable ZDD checkpoint from `dir`; the ZDD analogue
-/// of [`resume_latest_bdd`].
-///
-/// # Errors
-///
-/// Same as [`resume_latest_bdd`].
-pub fn resume_latest_zdd(dir: &Path) -> Result<ZddResumePoint, StoreError> {
-    let records = read_records(&dir.join(LOG_FILE))?;
-    for record in records.into_iter().rev() {
-        if record.backend != BACKEND_ZDD {
-            continue;
-        }
-        let Some(snap_path) = safe_snapshot_path(dir, &record) else {
-            continue;
-        };
-        match load_zdd_snapshot(&snap_path) {
-            Ok(snap) => {
-                return Ok(ZddResumePoint {
-                    record,
-                    manager: snap.manager,
-                    roots: snap.roots,
-                })
             }
             Err(e) => skip_warning(dir, &record, &e),
         }

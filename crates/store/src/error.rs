@@ -54,7 +54,7 @@ pub enum StoreError {
         reason: String,
     },
     /// Rebuilding kernel state from a structurally valid snapshot failed
-    /// (node-table validation in the BDD/ZDD import).
+    /// (node-table validation in the BDD import).
     Import(jedd_bdd::BddError),
     /// Rebuilding relational state from a structurally valid snapshot
     /// failed (universe replay or schema validation).

@@ -5,8 +5,8 @@
 //! hours-long BDD analyses; losing one to a crash is expensive). It has
 //! three pieces:
 //!
-//! - **Snapshots** ([`encode_bdd_snapshot`]/[`decode_bdd_snapshot`], and
-//!   the ZDD analogues): a versioned, length-prefixed, CRC32-checksummed
+//! - **Snapshots** ([`encode_bdd_snapshot`]/[`decode_bdd_snapshot`]): a
+//!   versioned, length-prefixed, CRC32-checksummed
 //!   binary image of a set of relations sharing one manager — the
 //!   variable order, the universe registries, a children-first node table
 //!   and per-relation roots. Decoding validates everything before
@@ -16,7 +16,7 @@
 //!   append-only, fsynced record stream committing snapshots in
 //!   write-ahead order. Torn tails are skipped with a warning.
 //! - **Checkpoint orchestration** ([`Checkpointer`],
-//!   [`CheckpointPolicy`], [`resume_latest_bdd`]/[`resume_latest_zdd`]):
+//!   [`CheckpointPolicy`], [`resume_latest_bdd`]):
 //!   sequence numbering, atomic-rename commits, pruning to the last two
 //!   snapshots, and newest-first resume that falls back across corrupt
 //!   checkpoints.
@@ -37,15 +37,12 @@ mod snapshot;
 mod wal;
 
 pub use checkpoint::{
-    resume_latest_bdd, resume_latest_zdd, BddResumePoint, CheckpointMeta, CheckpointPolicy,
-    Checkpointer, ZddResumePoint, LOG_FILE,
+    resume_latest_bdd, BddResumePoint, CheckpointMeta, CheckpointPolicy, Checkpointer, LOG_FILE,
 };
 pub use error::StoreError;
 pub use faults::{Kill, StoreFaults};
 pub use snapshot::{
-    decode_bdd_snapshot, decode_order_record, decode_zdd_snapshot, encode_bdd_snapshot,
-    encode_order_record, encode_zdd_snapshot, load_bdd_snapshot, load_order_record,
-    load_zdd_snapshot, save_order_record, snapshot_backend, BddSnapshot, OrderRecord, ZddSnapshot,
-    BACKEND_BDD, BACKEND_CBDD, BACKEND_CZDD, BACKEND_ORDER, BACKEND_ZDD,
+    decode_bdd_snapshot, encode_bdd_snapshot, load_bdd_snapshot, snapshot_backend, BddSnapshot,
+    BACKEND_BDD, BACKEND_CBDD,
 };
 pub use wal::{read_records, read_records_prefix, LogRecord};

@@ -11,18 +11,18 @@
 //! table, which rebuilds hash-consing: round-tripped relations are
 //! node-id-identical under the same order.
 //!
-//! A ZDD snapshot carries the node table and named roots only (the ZDD
-//! kernel has no universe layer).
-//!
 //! File layout: `magic "JSNP" · version u32 · backend u8 · payload-length
 //! u64 · payload CRC32 · payload`. All integers little-endian. The single
 //! checksum covers the whole payload, so any torn or flipped byte is
 //! detected before a single field is interpreted; every rejection is a
 //! typed [`StoreError`], never a panic.
+//!
+//! The backend byte is [`BACKEND_BDD`] or [`BACKEND_CBDD`]; the frame
+//! check rejects every other value as [`StoreError::BadHeader`].
 
 use crate::crc32::crc32;
 use crate::error::StoreError;
-use jedd_bdd::{ExportedNode, ZddId, ZddManager};
+use jedd_bdd::ExportedNode;
 use jedd_core::{AttrId, DomainId, PhysDomId, Relation, Universe};
 use std::path::Path;
 
@@ -30,20 +30,11 @@ const MAGIC: &[u8; 4] = b"JSNP";
 const VERSION: u32 = 1;
 /// Backend tag of a BDD (relation) snapshot.
 pub const BACKEND_BDD: u8 = 0;
-/// Backend tag of a ZDD snapshot.
-pub const BACKEND_ZDD: u8 = 1;
 /// Backend tag of a chain-reduced BDD (CBDD) relation snapshot. The
 /// payload format is identical to [`BACKEND_BDD`] (the node table is the
 /// plain spine expansion); the tag tells the decoder to rebuild into a
 /// chain-reduced universe.
 pub const BACKEND_CBDD: u8 = 2;
-/// Backend tag of a chain-reduced ZDD (CZDD) snapshot; payload format as
-/// [`BACKEND_ZDD`], rebuilt into a chain-reduced manager.
-pub const BACKEND_CZDD: u8 = 3;
-/// Tag of a learned variable-order record (see [`OrderRecord`]): not a
-/// node snapshot but a per-analysis `level -> variable` table persisted by
-/// the order-search lab so warm runs skip sifting entirely.
-pub const BACKEND_ORDER: u8 = 4;
 const HEADER_LEN: usize = 4 + 4 + 1 + 8 + 4;
 /// Sanity cap on the variable count a snapshot may declare; real
 /// universes are orders of magnitude below this.
@@ -162,7 +153,7 @@ fn unframe<'a>(bytes: &'a [u8], path: &Path) -> Result<(u8, &'a [u8]), StoreErro
         return Err(header_err("unsupported version"));
     }
     let backend = bytes[8];
-    if backend > BACKEND_ORDER {
+    if backend != BACKEND_BDD && backend != BACKEND_CBDD {
         return Err(header_err("unknown backend tag"));
     }
     let payload_len = u64::from_le_bytes(bytes[9..17].try_into().unwrap());
@@ -331,12 +322,6 @@ impl BddSnapshot {
 /// relational validation rejects the content.
 pub fn decode_bdd_snapshot(bytes: &[u8], path: &Path) -> Result<BddSnapshot, StoreError> {
     let (backend, payload) = unframe(bytes, path)?;
-    if backend != BACKEND_BDD && backend != BACKEND_CBDD {
-        return Err(StoreError::BadHeader {
-            path: path.to_path_buf(),
-            reason: "not a BDD snapshot",
-        });
-    }
     let mut c = Cursor {
         bytes: payload,
         pos: 0,
@@ -475,193 +460,6 @@ pub fn decode_bdd_snapshot(bytes: &[u8], path: &Path) -> Result<BddSnapshot, Sto
     })
 }
 
-// ------------------------------------------------------------ ZDD codec
-
-/// A decoded ZDD snapshot: a fresh manager and the named roots it carried.
-pub struct ZddSnapshot {
-    /// The rebuilt manager (node ids are allocation-ordered and stable,
-    /// so a re-export is byte-identical).
-    pub manager: ZddManager,
-    /// The named roots, in snapshot order.
-    pub roots: Vec<(String, ZddId)>,
-}
-
-impl ZddSnapshot {
-    /// The root with the given name, if present.
-    pub fn root(&self, name: &str) -> Option<ZddId> {
-        self.roots.iter().find(|(n, _)| n == name).map(|&(_, r)| r)
-    }
-}
-
-/// Serializes named ZDD roots as a framed ZDD snapshot.
-pub fn encode_zdd_snapshot(manager: &ZddManager, roots: &[(&str, ZddId)]) -> Vec<u8> {
-    let mut p = Vec::new();
-    put_u32(&mut p, manager.num_vars() as u32);
-    let ids: Vec<ZddId> = roots.iter().map(|&(_, id)| id).collect();
-    let (nodes, slots) = manager.export_nodes(&ids);
-    put_nodes(&mut p, &nodes);
-    put_u32(&mut p, roots.len() as u32);
-    for ((name, _), slot) in roots.iter().zip(&slots) {
-        put_str(&mut p, name);
-        put_u32(&mut p, *slot);
-    }
-    let tag = if manager.chain_mode() {
-        BACKEND_CZDD
-    } else {
-        BACKEND_ZDD
-    };
-    frame(tag, p)
-}
-
-/// Decodes a framed ZDD snapshot into a fresh manager.
-///
-/// # Errors
-///
-/// Same classes as [`decode_bdd_snapshot`].
-pub fn decode_zdd_snapshot(bytes: &[u8], path: &Path) -> Result<ZddSnapshot, StoreError> {
-    let (backend, payload) = unframe(bytes, path)?;
-    if backend != BACKEND_ZDD && backend != BACKEND_CZDD {
-        return Err(StoreError::BadHeader {
-            path: path.to_path_buf(),
-            reason: "not a ZDD snapshot",
-        });
-    }
-    let mut c = Cursor {
-        bytes: payload,
-        pos: 0,
-        path,
-    };
-    let num_vars = c.u32("variable count")?;
-    if num_vars > MAX_VARS {
-        return Err(c.malformed("implausible variable count"));
-    }
-    let nodes = take_nodes(&mut c)?;
-    let n_roots = c.count(8, "root directory")?;
-    let mut named = Vec::with_capacity(n_roots);
-    for _ in 0..n_roots {
-        let name = c.str("root name")?;
-        let slot = c.u32("root slot")?;
-        named.push((name, slot));
-    }
-    c.done()?;
-    let manager = if backend == BACKEND_CZDD {
-        ZddManager::new_chained(num_vars as usize)
-    } else {
-        ZddManager::new(num_vars as usize)
-    };
-    let slots: Vec<u32> = named.iter().map(|&(_, s)| s).collect();
-    let ids = manager.import_nodes(&nodes, &slots)?;
-    let roots = named
-        .into_iter()
-        .zip(ids)
-        .map(|((name, _), id)| (name, id))
-        .collect();
-    Ok(ZddSnapshot { manager, roots })
-}
-
-// ----------------------------------------------------- learned orders
-
-/// A persisted learned variable order: the product of the offline
-/// order-search lab for one analysis, replayed on warm runs so they start
-/// from a known-good order and perform zero sifting sweeps.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OrderRecord {
-    /// The analysis (or benchmark) the order was learned for.
-    pub analysis: String,
-    /// The kernel the order was learned under. Records whose tag names
-    /// a retired ZDD-accounted variant (1 or 3) decode as the kernel it
-    /// ran on (see `Backend::from_tag`).
-    pub backend: jedd_core::Backend,
-    /// The `level -> variable` table, as accepted by
-    /// `BddManager::set_order` — a permutation of `0..len`.
-    pub level2var: Vec<u32>,
-}
-
-/// Serializes a learned-order record in the common JSNP frame with the
-/// [`BACKEND_ORDER`] tag.
-pub fn encode_order_record(record: &OrderRecord) -> Vec<u8> {
-    let mut p = Vec::new();
-    put_str(&mut p, &record.analysis);
-    put_u8(&mut p, record.backend.tag());
-    put_u32(&mut p, record.level2var.len() as u32);
-    for v in &record.level2var {
-        put_u32(&mut p, *v);
-    }
-    frame(BACKEND_ORDER, p)
-}
-
-/// Decodes a learned-order record, validating that the table is a
-/// permutation.
-///
-/// # Errors
-///
-/// The frame errors of [`decode_bdd_snapshot`], a
-/// [`StoreError::BadHeader`] when the tag is not [`BACKEND_ORDER`], and
-/// [`StoreError::Malformed`] when the backend byte or the permutation is
-/// invalid.
-pub fn decode_order_record(bytes: &[u8], path: &Path) -> Result<OrderRecord, StoreError> {
-    let (backend, payload) = unframe(bytes, path)?;
-    if backend != BACKEND_ORDER {
-        return Err(StoreError::BadHeader {
-            path: path.to_path_buf(),
-            reason: "not a learned-order record",
-        });
-    }
-    let mut c = Cursor {
-        bytes: payload,
-        pos: 0,
-        path,
-    };
-    let analysis = c.str("analysis name")?;
-    let backend_tag = c.u8("order backend tag")?;
-    let backend = jedd_core::Backend::from_tag(backend_tag)
-        .ok_or_else(|| c.malformed(format!("unknown order backend tag {backend_tag}")))?;
-    let n = c.count(4, "order table")?;
-    if n as u64 > MAX_VARS as u64 {
-        return Err(c.malformed("implausible variable count"));
-    }
-    let mut level2var = Vec::with_capacity(n);
-    let mut seen = vec![false; n];
-    for _ in 0..n {
-        let v = c.u32("order entry")?;
-        if (v as usize) >= n || seen[v as usize] {
-            return Err(c.malformed(format!("order table is not a permutation (entry {v})")));
-        }
-        seen[v as usize] = true;
-        level2var.push(v);
-    }
-    c.done()?;
-    Ok(OrderRecord {
-        analysis,
-        backend,
-        level2var,
-    })
-}
-
-/// Atomically writes a learned-order record (write to a temp file in the
-/// same directory, fsync, rename).
-///
-/// # Errors
-///
-/// [`StoreError::Io`] on any filesystem failure.
-pub fn save_order_record(path: &Path, record: &OrderRecord) -> Result<(), StoreError> {
-    crate::io::write_atomic(path, &encode_order_record(record), None, false)
-}
-
-/// Reads and decodes a learned-order record file.
-///
-/// # Errors
-///
-/// [`StoreError::Io`] if the file is unreadable, else the decode errors.
-pub fn load_order_record(path: &Path) -> Result<OrderRecord, StoreError> {
-    let bytes = std::fs::read(path).map_err(|e| StoreError::Io {
-        op: "read order record",
-        path: path.to_path_buf(),
-        source: e,
-    })?;
-    decode_order_record(&bytes, path)
-}
-
 // ------------------------------------------------------------- file I/O
 
 /// Reads and decodes a BDD snapshot file.
@@ -676,18 +474,4 @@ pub fn load_bdd_snapshot(path: &Path) -> Result<BddSnapshot, StoreError> {
         source: e,
     })?;
     decode_bdd_snapshot(&bytes, path)
-}
-
-/// Reads and decodes a ZDD snapshot file.
-///
-/// # Errors
-///
-/// [`StoreError::Io`] if the file is unreadable, else the decode errors.
-pub fn load_zdd_snapshot(path: &Path) -> Result<ZddSnapshot, StoreError> {
-    let bytes = std::fs::read(path).map_err(|e| StoreError::Io {
-        op: "read snapshot",
-        path: path.to_path_buf(),
-        source: e,
-    })?;
-    decode_zdd_snapshot(&bytes, path)
 }

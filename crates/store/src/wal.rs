@@ -39,8 +39,8 @@ pub struct LogRecord {
     /// File name of the snapshot this record commits, relative to the
     /// checkpoint directory.
     pub snapshot: String,
-    /// Backend tag of the snapshot ([`crate::BACKEND_BDD`] or
-    /// [`crate::BACKEND_ZDD`]).
+    /// Backend tag of the checkpoint: always [`crate::BACKEND_BDD`] (a
+    /// chained universe's snapshot frame carries [`crate::BACKEND_CBDD`]).
     pub backend: u8,
     /// The driver's RNG word at the checkpoint, so resumed runs keep the
     /// same stochastic decisions.

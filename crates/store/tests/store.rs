@@ -2,14 +2,11 @@
 //! byte-level corruption sweeps, and checkpoint/resume flows with
 //! injected crashes.
 
-use jedd_bdd::ZddManager;
 use jedd_core::{Backend, Relation, Universe};
 use jedd_store::{
-    decode_bdd_snapshot, decode_order_record, decode_zdd_snapshot, encode_bdd_snapshot,
-    encode_order_record, encode_zdd_snapshot, load_order_record, read_records, resume_latest_bdd,
-    resume_latest_zdd, save_order_record, snapshot_backend, CheckpointMeta, CheckpointPolicy,
-    Checkpointer, LogRecord, OrderRecord, StoreError, StoreFaults, BACKEND_BDD, BACKEND_CBDD,
-    BACKEND_CZDD, BACKEND_ORDER, LOG_FILE,
+    decode_bdd_snapshot, encode_bdd_snapshot, read_records, resume_latest_bdd, snapshot_backend,
+    CheckpointMeta, CheckpointPolicy, Checkpointer, LogRecord, StoreError, StoreFaults,
+    BACKEND_BDD, BACKEND_CBDD, LOG_FILE,
 };
 use std::path::{Path, PathBuf};
 
@@ -110,25 +107,6 @@ fn bdd_snapshot_round_trips_after_reorder() {
 }
 
 #[test]
-fn zdd_snapshot_round_trips() {
-    let z = ZddManager::new(8);
-    let a = z.family(&[vec![0], vec![1, 2], vec![3, 5, 7]]);
-    let b = z.family(&[vec![1, 2], vec![4]]);
-    let bytes = encode_zdd_snapshot(&z, &[("a", a), ("b", b)]);
-    assert_eq!(snapshot_backend(&bytes, Path::new("mem")).unwrap(), 1);
-
-    let snap = decode_zdd_snapshot(&bytes, Path::new("mem")).unwrap();
-    assert_eq!(snap.manager.sets(snap.root("a").unwrap()), z.sets(a));
-    assert_eq!(snap.manager.sets(snap.root("b").unwrap()), z.sets(b));
-    let restored: Vec<(&str, jedd_bdd::ZddId)> =
-        snap.roots.iter().map(|(n, id)| (n.as_str(), *id)).collect();
-    assert_eq!(encode_zdd_snapshot(&snap.manager, &restored), bytes);
-}
-
-/// The acceptance bar: flipping any single byte of a snapshot yields a
-/// typed error (or, for a handful of don't-care bytes, a clean decode) —
-/// never a panic, and never a silently wrong relation.
-#[test]
 fn single_byte_corruption_never_panics() {
     let (u, rels) = sample_universe();
     let bytes = encode_bdd_snapshot(&u, &as_refs(&rels));
@@ -176,24 +154,6 @@ fn truncation_at_every_length_never_panics() {
             ),
             "prefix of {len} bytes: unexpected error {err}"
         );
-    }
-}
-
-#[test]
-fn zdd_single_byte_corruption_never_panics() {
-    let z = ZddManager::new(6);
-    let a = z.family(&[vec![0, 2], vec![1], vec![3, 4, 5]]);
-    let bytes = encode_zdd_snapshot(&z, &[("a", a)]);
-    for i in 0..bytes.len() {
-        let mut bad = bytes.clone();
-        bad[i] ^= 0x20;
-        if let Ok(snap) = decode_zdd_snapshot(&bad, Path::new("mem")) {
-            assert_eq!(
-                snap.manager.sets(snap.root("a").unwrap()),
-                z.sets(a),
-                "byte {i} silently changed the family"
-            );
-        }
     }
 }
 
@@ -298,27 +258,6 @@ fn kill_between_snapshot_and_commit_preserves_previous_checkpoint() {
         drop(cp2);
         let _ = std::fs::remove_dir_all(&d);
     }
-}
-
-#[test]
-fn zdd_checkpoint_resume_round_trips() {
-    let d = tmpdir("zdd-resume");
-    let z = ZddManager::new(8);
-    let fam = z.family(&[vec![0, 1], vec![2, 3], vec![4]]);
-    let mut cp = Checkpointer::create(&d, CheckpointPolicy::default()).unwrap();
-    let meta = CheckpointMeta {
-        analysis: "zdd-closure",
-        round: 4,
-        phase: 0,
-        aux: 0,
-        rng: 0,
-    };
-    cp.checkpoint_zdd(&meta, &z, &[("reach", fam)]).unwrap();
-
-    let rp = resume_latest_zdd(&d).unwrap();
-    assert_eq!(rp.record.round, 4);
-    assert_eq!(rp.manager.sets(rp.root("reach").unwrap()), z.sets(fam));
-    let _ = std::fs::remove_dir_all(&d);
 }
 
 #[test]
@@ -573,61 +512,37 @@ fn cbdd_snapshot_round_trips_and_keeps_backend() {
 }
 
 #[test]
-fn czdd_snapshot_round_trips_and_keeps_backend() {
-    let z = ZddManager::new_chained(8);
-    let a = z.family(&[vec![0], vec![1, 2], vec![3, 5, 7]]);
-    let bytes = encode_zdd_snapshot(&z, &[("a", a)]);
-    assert_eq!(
-        snapshot_backend(&bytes, Path::new("mem")).unwrap(),
-        BACKEND_CZDD
-    );
-    let snap = decode_zdd_snapshot(&bytes, Path::new("mem")).unwrap();
-    assert!(snap.manager.chain_mode());
-    assert_eq!(snap.manager.sets(snap.root("a").unwrap()), z.sets(a));
-    let restored: Vec<(&str, jedd_bdd::ZddId)> =
-        snap.roots.iter().map(|(n, id)| (n.as_str(), *id)).collect();
-    assert_eq!(encode_zdd_snapshot(&snap.manager, &restored), bytes);
-}
-
-#[test]
 fn unknown_backend_bytes_fail_typed() {
     let (u, rels) = sample_universe();
     let bytes = encode_bdd_snapshot(&u, &as_refs(&rels));
-    // Every byte value above the highest known tag must be rejected at
-    // the header, before the payload is interpreted.
-    for tag in (BACKEND_ORDER + 1)..=u8::MAX {
+    let mem = Path::new("mem");
+    // The store has one snapshot kind, tagged 0 (plain) or 2 (chained).
+    // Every other byte value, the retired ZDD (1), CZDD (3) and
+    // learned-order (4) tags included, must be rejected at the frame
+    // check, before the payload is interpreted.
+    for tag in (0..=u8::MAX).filter(|&t| t != BACKEND_BDD && t != BACKEND_CBDD) {
         let mut bad = bytes.clone();
         bad[8] = tag;
-        let err = decode_bdd_snapshot(&bad, Path::new("mem"))
-            .err()
-            .unwrap_or_else(|| panic!("backend byte {tag} must not decode"));
-        assert!(
-            matches!(err, StoreError::BadHeader { reason, .. } if reason == "unknown backend tag"),
-            "backend byte {tag}: unexpected error {err}"
-        );
-    }
-    // Known-but-wrong tags are also typed errors (the checksum does not
-    // cover the header byte, so this is a header-level rejection).
-    for (tag, is_bdd) in [
-        (BACKEND_CBDD, true),
-        (jedd_store::BACKEND_ZDD, false),
-        (BACKEND_CZDD, false),
-        (BACKEND_ORDER, false),
-    ] {
-        let mut bad = bytes.clone();
-        bad[8] = tag;
-        match decode_bdd_snapshot(&bad, Path::new("mem")) {
-            // CBDD shares the payload format, so redirecting the tag is a
-            // legal decode into the chained kernel, tuple-identical.
-            Ok(snap) if is_bdd => {
-                for (name, original) in &rels {
-                    assert_eq!(snap.relation(name).expect(name).tuples(), original.tuples());
-                }
-            }
-            Ok(_) => panic!("backend byte {tag} silently decoded as BDD"),
-            Err(StoreError::BadHeader { .. } | StoreError::Malformed { .. }) => {}
-            Err(other) => panic!("backend byte {tag}: unexpected error class {other}"),
+        for err in [
+            snapshot_backend(&bad, mem).err(),
+            decode_bdd_snapshot(&bad, mem).err(),
+        ] {
+            let err = err.unwrap_or_else(|| panic!("backend byte {tag} must not decode"));
+            assert!(
+                matches!(err, StoreError::BadHeader { reason, .. } if reason == "unknown backend tag"),
+                "backend byte {tag}: unexpected error {err}"
+            );
         }
+    }
+    // CBDD shares the payload format (the checksum does not cover the
+    // header byte), so retagging a plain snapshot is a legal decode into
+    // the chained kernel, tuple-identical.
+    let mut chained = bytes.clone();
+    chained[8] = BACKEND_CBDD;
+    let snap = decode_bdd_snapshot(&chained, mem).unwrap();
+    assert_eq!(snap.universe.backend(), Backend::Cbdd);
+    for (name, original) in &rels {
+        assert_eq!(snap.relation(name).expect(name).tuples(), original.tuples());
     }
 }
 
@@ -656,130 +571,4 @@ fn cbdd_single_byte_corruption_never_panics() {
             }
         }
     }
-}
-
-#[test]
-fn order_record_round_trips_and_survives_corruption_sweep() {
-    let record = OrderRecord {
-        analysis: "pointsto-javac".to_string(),
-        backend: Backend::Cbdd,
-        level2var: vec![3, 0, 2, 1, 5, 4],
-    };
-    let bytes = encode_order_record(&record);
-    assert_eq!(
-        snapshot_backend(&bytes, Path::new("mem")).unwrap(),
-        BACKEND_ORDER
-    );
-    let decoded = decode_order_record(&bytes, Path::new("mem")).unwrap();
-    assert_eq!(decoded, record);
-    // An order record is not a snapshot and vice versa.
-    assert!(matches!(
-        decode_bdd_snapshot(&bytes, Path::new("mem")),
-        Err(StoreError::BadHeader {
-            reason: "not a BDD snapshot",
-            ..
-        })
-    ));
-    let (u, rels) = sample_universe();
-    let snap_bytes = encode_bdd_snapshot(&u, &as_refs(&rels));
-    assert!(matches!(
-        decode_order_record(&snap_bytes, Path::new("mem")),
-        Err(StoreError::BadHeader {
-            reason: "not a learned-order record",
-            ..
-        })
-    ));
-    // The single-byte corruption sweep extends to the new record kind: a
-    // flip is a typed error or decodes to exactly the original order.
-    for i in 0..bytes.len() {
-        let mut bad = bytes.clone();
-        bad[i] ^= 0x20;
-        match decode_order_record(&bad, Path::new("mem")) {
-            Err(
-                StoreError::BadHeader { .. }
-                | StoreError::ChecksumMismatch { .. }
-                | StoreError::Truncated { .. }
-                | StoreError::Malformed { .. },
-            ) => {}
-            Err(other) => panic!("byte {i}: unexpected error class {other}"),
-            Ok(got) => assert_eq!(got, record, "byte {i} silently changed the order"),
-        }
-    }
-}
-
-#[test]
-fn order_record_rejects_non_permutations() {
-    let mut record = OrderRecord {
-        analysis: "x".to_string(),
-        backend: Backend::Bdd,
-        level2var: vec![0, 1, 1],
-    };
-    let err = decode_order_record(&encode_order_record(&record), Path::new("mem"))
-        .expect_err("duplicate entries must not decode");
-    assert!(matches!(err, StoreError::Malformed { .. }), "{err}");
-    record.level2var = vec![0, 1, 7];
-    let err = decode_order_record(&encode_order_record(&record), Path::new("mem"))
-        .expect_err("out-of-range entries must not decode");
-    assert!(matches!(err, StoreError::Malformed { .. }), "{err}");
-}
-
-/// An order record whose backend byte is `tag`, hand-built from a tag-0
-/// record by patching that byte and recomputing the payload checksum.
-fn order_record_with_tag(tag: u8) -> Vec<u8> {
-    let record = OrderRecord {
-        analysis: "pt".into(),
-        backend: Backend::Bdd,
-        level2var: vec![2, 0, 1],
-    };
-    let mut bytes = encode_order_record(&record);
-    // Header: magic 4 · version 4 · kind 1 · payload length 8 · CRC32 4;
-    // the payload opens with the length-prefixed analysis name "pt".
-    bytes[21 + 4 + 2] = tag;
-    let crc = jedd_bdd::crc32::crc32(&bytes[21..]);
-    bytes[17..21].copy_from_slice(&crc.to_le_bytes());
-    bytes
-}
-
-#[test]
-fn order_records_with_retired_zdd_tags_decode_as_their_kernel() {
-    // Tags 1 and 3 named the ZDD-accounted variants of the plain and the
-    // chained kernel; orders learned under them load as those kernels.
-    for (tag, kernel) in [
-        (0, Backend::Bdd),
-        (1, Backend::Bdd),
-        (2, Backend::Cbdd),
-        (3, Backend::Cbdd),
-    ] {
-        let got = decode_order_record(&order_record_with_tag(tag), Path::new("mem"))
-            .unwrap_or_else(|e| panic!("tag {tag} must decode: {e}"));
-        assert_eq!(
-            (got.backend, &got.level2var[..]),
-            (kernel, &[2, 0, 1][..]),
-            "tag {tag}"
-        );
-    }
-    for tag in [4, 5, 0x7f, u8::MAX] {
-        let err = decode_order_record(&order_record_with_tag(tag), Path::new("mem"))
-            .expect_err("an unknown backend tag must not decode");
-        assert!(
-            matches!(err, StoreError::Malformed { .. }),
-            "tag {tag}: {err}"
-        );
-    }
-}
-
-#[test]
-fn order_record_file_round_trip() {
-    let d = tmpdir("order-file");
-    let record = OrderRecord {
-        analysis: "hierarchy-jedit".to_string(),
-        backend: Backend::Bdd,
-        level2var: (0..32u32).rev().collect(),
-    };
-    let path = d.join("hierarchy-jedit.order");
-    save_order_record(&path, &record).unwrap();
-    assert_eq!(load_order_record(&path).unwrap(), record);
-    let err = load_order_record(&d.join("absent.order")).expect_err("absent file must be Io");
-    assert!(matches!(err, StoreError::Io { .. }), "{err}");
-    let _ = std::fs::remove_dir_all(&d);
 }

@@ -2,7 +2,7 @@
 //! the public API offers, and after every step the production
 //! [`Relation`] must agree tuple-for-tuple with two independent
 //! witnesses — a `BTreeSet` oracle and a ZDD family driven through
-//! `ZddManager`'s algebra (plain or chain-reduced, matching the kernel).
+//! `ZddManager`'s algebra.
 //!
 //! A [`Cell`] is one point of kernel {plain, chained} × storage
 //! {resident, paged at 2 frames, paged at 16, paged unbounded} × budget
@@ -45,7 +45,7 @@ const BITS: usize = 3;
 /// One point of the mode matrix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Cell {
-    /// Chain-reduced kernel (CBDD relations against a CZDD family).
+    /// Chain-reduced kernel (CBDD relations).
     chained: bool,
     /// `None` keeps the arena resident; `Some(frames)` pages it to disk
     /// with that resident-frame budget (`0` = paged but unbounded).
@@ -151,11 +151,7 @@ impl World {
             drop(cubes);
             warm_faults = mgr.kernel_stats().page_faults;
         }
-        let z = if cell.chained {
-            ZddManager::new_chained(NATTRS * BITS)
-        } else {
-            ZddManager::new(NATTRS * BITS)
-        };
+        let z = ZddManager::new(NATTRS * BITS);
         let limits = cell
             .budget
             .then(|| RefCell::new(XorShift64Star::new(seed ^ 0x00b0_d6e7)));
@@ -772,7 +768,7 @@ fn differential_fuzz_thread_sweep_with_churn() {
     mode_matrix("differential_fuzz_thread_sweep_with_churn");
 }
 
-/// Chained kernel (CBDD relations, CZDD family), resident, no churn.
+/// Chained kernel (CBDD relations), resident, no churn.
 #[test]
 fn differential_fuzz_cbdd_czdd_sets() {
     mode_matrix("differential_fuzz_cbdd_czdd_sets");
@@ -871,7 +867,7 @@ fn pointsto_paged_compress_faults_at_256_frames() {
         "loading compress no longer faults at {FRAMES} frames"
     );
     assert!(k.page_faults >= loaded && k.page_max_resident as usize <= FRAMES);
-    let resident = Facts::load_configured(&p, Universe::new_with_backend(Backend::Bdd), None)
+    let resident = Facts::load_configured(&p, Universe::new_with_backend(Backend::Bdd))
         .expect("resident facts");
     let want = pointsto::analyze(&resident, CallGraphMode::OnTheFly).expect("points-to");
     assert_eq!(
@@ -932,7 +928,7 @@ fn analysis_row() {
                 Some(n) => Universe::new_paged_with_backend(backend, n).expect("page file"),
                 None => Universe::new_with_backend(backend),
             };
-            let f = Facts::load_configured(&p, u, None).expect("facts");
+            let f = Facts::load_configured(&p, u).expect("facts");
             let (got, pt) = run_analyses(&f);
             let expected = expected.get_or_insert_with(|| {
                 assert_eq!(got[0], sets, "plain resident points-to vs the set baseline");
@@ -960,11 +956,12 @@ fn analysis_row() {
             }
         }
     }
-    // Chain reduction never grows a diagram: CBDD <= BDD and CZDD <= ZDD.
-    let ((bdd, zdd), (cbdd, czdd)) = (pt_nodes[0], pt_nodes[1]);
+    // Chain reduction never grows a diagram (CBDD <= BDD), and
+    // `zdd_node_count` measures the same plain ZDD on both kernels.
+    let ((bdd, zdd), (cbdd, zdd_on_cbdd)) = (pt_nodes[0], pt_nodes[1]);
     assert!(
-        zdd > 0 && cbdd <= bdd && czdd <= zdd,
-        "bdd {bdd} zdd {zdd} cbdd {cbdd} czdd {czdd}"
+        zdd > 0 && cbdd <= bdd && zdd_on_cbdd == zdd,
+        "bdd {bdd} zdd {zdd} cbdd {cbdd} zdd on cbdd {zdd_on_cbdd}"
     );
 }
 
@@ -991,6 +988,6 @@ fn page_cache_env_seam() {
     let (got, _) = run_analyses(&paged);
     let k = paged.u.bdd_manager().kernel_stats();
     assert!(k.page_faults > 0 && k.page_max_resident as usize <= frames);
-    let resident = Facts::load_configured(&p, Universe::new_with_backend(Backend::Bdd), None);
+    let resident = Facts::load_configured(&p, Universe::new_with_backend(Backend::Bdd));
     assert_eq!(got, run_analyses(&resident.expect("resident facts")).0);
 }
