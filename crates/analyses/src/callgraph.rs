@@ -3,7 +3,8 @@
 //! resolution.
 
 use crate::facts::Facts;
-use jedd_core::{DeltaRel, Fixpoint, JeddError, Relation, Strategy};
+use crate::{naive_closure, persist};
+use jedd_core::{JeddError, Relation, Strategy};
 
 /// The computed call graph.
 pub struct CallGraph {
@@ -35,55 +36,36 @@ pub fn build_with(
     site_targets: &Relation,
     strategy: Strategy,
 ) -> Result<CallGraph, JeddError> {
-    f.u.set_site("callgraph");
-    let edges = derive_edges(f, site_targets)?;
-    let callees = |r: &Relation| callees(f, &edges, r);
-
-    // reachable = entry ∪ targets of reachable callers, to fixpoint.
-    let reachable = match strategy {
+    match strategy {
         Strategy::Naive => {
-            let mut reachable = f.entry.clone();
-            let mut fp = Fixpoint::new(&f.u, "callgraph");
-            loop {
-                fp.begin_round()?;
-                let step = callees(&reachable)?;
-                let next = reachable.union(&step)?;
-                let done = next.equals(&reachable)?;
-                reachable = next;
-                fp.end_round(&[]);
-                if done {
-                    break reachable;
-                }
-            }
+            f.u.set_site("callgraph");
+            let edges = derive_edges(f, site_targets)?;
+            // reachable = entry ∪ targets of reachable callers, to fixpoint.
+            let reachable = naive_closure(&f.u, "callgraph", f.entry.clone(), |r| {
+                callees(f, &edges, r)
+            })?;
+            Ok(CallGraph {
+                site_targets: site_targets.clone(),
+                edges,
+                reachable,
+            })
         }
         Strategy::SemiNaive => {
-            let mut reach = DeltaRel::new("reachable", f.entry.clone());
-            let mut fp = Fixpoint::new(&f.u, "callgraph");
-            while reach.has_delta() {
-                fp.begin_round()?;
-                let step = fp.rule("callees", || callees(reach.delta()))?;
-                reach.absorb(&step)?;
-                fp.end_round(&[&reach]);
-            }
-            reach.into_current()
+            persist::run_callgraph(f, site_targets, None).map_err(persist::into_jedd)
         }
-    };
-    Ok(CallGraph {
-        site_targets: site_targets.clone(),
-        edges,
-        reachable,
-    })
+    }
 }
 
 /// `edges(caller, method) = ∃site. site_caller(site, caller) ∧
-/// site_targets(site, method)` — shared by both strategies and the
-/// checkpointed driver.
+/// site_targets(site, method)` — shared by the naive oracle and the
+/// semi-naive loop in [`crate::persist`].
 pub(crate) fn derive_edges(f: &Facts, site_targets: &Relation) -> Result<Relation, JeddError> {
     f.site_caller.compose(&[f.site], site_targets, &[f.site])
 }
 
 /// Callees of the methods in `r`: rename the method to caller, compose
-/// with edges over caller.
+/// with edges over caller. The reachability step, shared by the naive
+/// oracle and the semi-naive loop in [`crate::persist`].
 pub(crate) fn callees(f: &Facts, edges: &Relation, r: &Relation) -> Result<Relation, JeddError> {
     let as_caller = r
         .rename(f.method, f.caller)?

@@ -2,7 +2,8 @@
 //! closure of the `extend` relation.
 
 use crate::facts::Facts;
-use jedd_core::{DeltaRel, Fixpoint, JeddError, Relation, Strategy};
+use crate::{naive_closure, persist};
+use jedd_core::{JeddError, Relation, Strategy};
 
 /// The computed hierarchy relations.
 pub struct Hierarchy {
@@ -27,47 +28,20 @@ pub fn compute(f: &Facts) -> Result<Hierarchy, JeddError> {
 ///
 /// Propagates relational-layer errors.
 pub fn compute_with(f: &Facts, strategy: Strategy) -> Result<Hierarchy, JeddError> {
-    f.u.set_site("hierarchy");
-    let hop = |c: &Relation| hop(f, c);
-    let initial = initial(f)?;
     match strategy {
         Strategy::Naive => {
-            let mut closure = initial;
-            let mut fp = Fixpoint::new(&f.u, "hierarchy");
-            loop {
-                fp.begin_round()?;
-                let step = hop(&closure)?;
-                let next = closure.union(&step)?;
-                let done = next.equals(&closure)?;
-                closure = next;
-                fp.end_round(&[]);
-                if done {
-                    return Ok(Hierarchy {
-                        subtype_of: closure,
-                    });
-                }
-            }
+            f.u.set_site("hierarchy");
+            let subtype_of = naive_closure(&f.u, "hierarchy", initial(f)?, |c| hop(f, c))?;
+            Ok(Hierarchy { subtype_of })
         }
-        Strategy::SemiNaive => {
-            let mut closure = DeltaRel::new("subtype_of", initial);
-            let mut fp = Fixpoint::new(&f.u, "hierarchy");
-            while closure.has_delta() {
-                fp.begin_round()?;
-                let step = fp.rule("hop", || hop(closure.delta()))?;
-                closure.absorb(&step)?;
-                fp.end_round(&[&closure]);
-            }
-            Ok(Hierarchy {
-                subtype_of: closure.into_current(),
-            })
-        }
+        Strategy::SemiNaive => persist::run_hierarchy(f, None).map_err(persist::into_jedd),
     }
 }
 
-/// One closure step, shared by both strategies and the checkpointed
-/// driver: `step(subtype, supertype) = ∃m. c(subtype, m) ∧ extend(m,
-/// supertype)`. The middle moves onto T3 so the composition has three
-/// distinct domains (the standard closure layout).
+/// One closure step, shared by the naive oracle and the semi-naive loop
+/// in [`crate::persist`]: `step(subtype, supertype) = ∃m. c(subtype, m)
+/// ∧ extend(m, supertype)`. The middle moves onto T3 so the composition
+/// has three distinct domains (the standard closure layout).
 pub(crate) fn hop(f: &Facts, c: &Relation) -> Result<Relation, JeddError> {
     let mid = c
         .rename(f.supertype, f.tgttype)?
@@ -76,7 +50,8 @@ pub(crate) fn hop(f: &Facts, c: &Relation) -> Result<Relation, JeddError> {
     mid.compose(&[f.tgttype], &ext_mid, &[f.tgttype])
 }
 
-/// The closure seed: `identity ∪ extend`.
+/// The closure seed, `identity ∪ extend`, shared by the naive oracle and
+/// the semi-naive loop in [`crate::persist`].
 pub(crate) fn initial(f: &Facts) -> Result<Relation, JeddError> {
     f.type_identity()?.union(&f.extend)
 }

@@ -40,3 +40,30 @@ pub mod pointsto;
 pub mod sideeffect;
 pub mod synth;
 pub mod vcr;
+
+use jedd_core::{Fixpoint, JeddError, Relation, Universe};
+
+/// The naive closure oracle shared by the hierarchy, call-graph and
+/// side-effect modules under [`jedd_core::Strategy::Naive`]: every round
+/// re-derives `step` from the whole closure and unions it in, until a
+/// round adds nothing. It shares no code with the semi-naive loops in
+/// [`persist`], so it stays an independent reference for them.
+pub(crate) fn naive_closure(
+    u: &Universe,
+    name: &'static str,
+    seed: Relation,
+    step: impl Fn(&Relation) -> Result<Relation, JeddError>,
+) -> Result<Relation, JeddError> {
+    let mut closure = seed;
+    let mut fp = Fixpoint::new(u, name);
+    loop {
+        fp.begin_round()?;
+        let next = closure.union(&step(&closure)?)?;
+        let done = next.equals(&closure)?;
+        closure = next;
+        fp.end_round(&[]);
+        if done {
+            return Ok(closure);
+        }
+    }
+}

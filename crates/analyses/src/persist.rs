@@ -1,14 +1,21 @@
-//! Checkpointed execution and crash resume of the five analyses.
+//! The semi-naive fixpoint loops of the five analyses, with optional
+//! checkpoints and crash resume.
 //!
-//! Each `*_checkpointed` entry point runs the same round bodies as the
-//! plain semi-naive drivers (the step functions are shared, not copied),
-//! but cuts a [`Checkpointer`] checkpoint at round boundaries per the
+//! Each semi-naive loop exists once, here: one loop for every
+//! single-[`DeltaRel`] closure (hierarchy, call-graph reachability, both
+//! side-effect phases), one for virtual call resolution and one for the
+//! points-to outer loop. Each loop takes an `Option<&mut Checkpointer>`.
+//! The plain entry points ([`hierarchy::compute`], [`vcr::resolve`],
+//! [`callgraph::build`], [`sideeffect::compute`], [`pointsto::analyze`])
+//! pass `None`: such a run never touches the store and takes no
+//! per-round state snapshot. Each `*_checkpointed` entry point passes its
+//! [`Checkpointer`] and cuts a checkpoint at round boundaries per the
 //! active [`jedd_store::CheckpointPolicy`]: every N completed rounds,
 //! and — for budget exhaustion and cooperative cancellation — the last
 //! good round-boundary state just before the error propagates. Each
 //! `*_resume` entry point loads the newest valid checkpoint from a
 //! directory, rebuilds the universe and [`Facts`], re-arms the governor
-//! with a fresh [`Budget`], and continues the run from the recorded
+//! with a fresh [`Budget`], and continues the same loop from the recorded
 //! round; a resumed run lands on a tuple-identical least fixpoint
 //! because semi-naive evaluation is determined by the
 //! (`current`, `delta`) pairs the checkpoint persists.
@@ -77,6 +84,17 @@ impl From<StoreError> for PersistError {
     }
 }
 
+/// The error of a run without a checkpointer. Only a checkpointer writes
+/// to the store, so such a run fails with [`PersistError::Jedd`] alone.
+pub(crate) fn into_jedd(e: PersistError) -> JeddError {
+    match e {
+        PersistError::Jedd(e) => e,
+        PersistError::Store(e) => {
+            unreachable!("a run without a checkpointer reached the store: {e}")
+        }
+    }
+}
+
 /// Whether the policy wants a last-good checkpoint for this failure:
 /// exhaustion and cancellation are resumable conditions, anything else
 /// is a bug to propagate uncheckpointed.
@@ -91,6 +109,34 @@ fn failure_checkpoint_due(cp: &Checkpointer, e: &JeddError) -> bool {
         }
         _ => false,
     }
+}
+
+/// Settles one finished round against the checkpointer, if there is one:
+/// after a good round, cuts the checkpoint the policy asks for; after a
+/// failed round, cuts the last good state when the policy wants it, then
+/// propagates the error. `cut` writes the in-place state, which is the
+/// last good state either way for loops whose failed rounds leave it
+/// untouched (the closures and `vcr`).
+fn settle_round(
+    cp: Option<&mut Checkpointer>,
+    round: Result<(), JeddError>,
+    rounds_done: u64,
+    cut: impl FnOnce(&mut Checkpointer) -> Result<(), StoreError>,
+) -> Result<(), PersistError> {
+    let Some(cp) = cp else {
+        return Ok(round?);
+    };
+    match round {
+        Ok(()) if cp.due_after_round(rounds_done) => cut(cp)?,
+        Ok(()) => {}
+        Err(e) => {
+            if failure_checkpoint_due(cp, &e) {
+                cut(cp)?;
+            }
+            return Err(e.into());
+        }
+    }
+    Ok(())
 }
 
 /// Commits one checkpoint: the base facts plus the given `input.*` and
@@ -154,9 +200,24 @@ fn reopen(
     Ok((rp, f))
 }
 
+/// A restored `(current, delta)` tracker from `state.{prefix}current` and
+/// `state.{prefix}delta`.
+fn take_delta(
+    rp: &BddResumePoint,
+    name: &'static str,
+    prefix: &str,
+) -> Result<DeltaRel, JeddError> {
+    DeltaRel::from_parts(
+        name,
+        take_rel(rp, &format!("state.{prefix}current"))?,
+        take_rel(rp, &format!("state.{prefix}delta"))?,
+    )
+}
+
 /// One single-`DeltaRel` transitive-closure loop (hierarchy, callgraph
 /// reachability, each side-effect phase) under one checkpoint spec.
 struct ClosureSpec<'a> {
+    /// The fixpoint's name, and the analysis name in its checkpoints.
     analysis: &'static str,
     phase: u32,
     rule: &'static str,
@@ -165,72 +226,67 @@ struct ClosureSpec<'a> {
     extra: &'a [(&'a str, &'a Relation)],
 }
 
-fn cut_closure(
-    cp: &mut Checkpointer,
-    f: &Facts,
-    spec: &ClosureSpec<'_>,
-    state: &DeltaRel,
-    round: u64,
-) -> Result<(), StoreError> {
-    let mut rels: Vec<(&str, &Relation)> = spec.extra.to_vec();
-    rels.push(("state.current", state.current()));
-    rels.push(("state.delta", state.delta()));
-    cut(cp, f, spec.analysis, round, spec.phase, 0, &rels)
-}
-
-/// Drives `state` to its fixpoint with checkpoints. The round body is
-/// exactly the plain semi-naive loop; a failed round leaves
-/// `current`/`delta` at the previous round boundary ([`DeltaRel::stage`]
-/// and [`DeltaRel::advance`] mutate them only on success), so the
+/// Drives `state` from round `start_round` to its fixpoint and returns
+/// the closed relation: the one semi-naive loop of every single-`DeltaRel`
+/// closure. A failed round leaves `current`/`delta` at the previous round
+/// boundary ([`DeltaRel::absorb`] mutates them only on success), so the
 /// in-place state *is* the last good state for the failure checkpoint.
 fn drive_closure(
     f: &Facts,
-    cp: &mut Checkpointer,
+    mut cp: Option<&mut Checkpointer>,
     spec: &ClosureSpec<'_>,
-    state: &mut DeltaRel,
-    fp: &mut Fixpoint,
+    mut state: DeltaRel,
+    start_round: u64,
     step: &dyn Fn(&Relation) -> Result<Relation, JeddError>,
-) -> Result<(), PersistError> {
+) -> Result<Relation, PersistError> {
+    let mut fp = Fixpoint::new(&f.u, spec.analysis).with_start_round(start_round);
     while state.has_delta() {
-        let res = (|| -> Result<(), JeddError> {
+        let round = (|| -> Result<(), JeddError> {
             fp.begin_round()?;
             let s = fp.rule(spec.rule, || step(state.delta()))?;
             state.absorb(&s)?;
-            fp.end_round(&[&*state]);
+            fp.end_round(&[&state]);
             Ok(())
         })();
-        match res {
-            Ok(()) => {
-                if cp.due_after_round(fp.rounds()) {
-                    cut_closure(cp, f, spec, state, fp.rounds())?;
-                }
-            }
-            Err(e) => {
-                if failure_checkpoint_due(cp, &e) {
-                    cut_closure(cp, f, spec, state, fp.rounds())?;
-                }
-                return Err(PersistError::Jedd(e));
-            }
-        }
+        settle_round(cp.as_deref_mut(), round, fp.rounds(), |cp| {
+            let mut rels: Vec<(&str, &Relation)> = spec.extra.to_vec();
+            rels.push(("state.current", state.current()));
+            rels.push(("state.delta", state.delta()));
+            cut(cp, f, spec.analysis, fp.rounds(), spec.phase, 0, &rels)
+        })?;
     }
-    Ok(())
+    Ok(state.into_current())
 }
 
 // --- Hierarchy ---------------------------------------------------------
 
 fn finish_hierarchy(
     f: &Facts,
-    cp: &mut Checkpointer,
-    closure: &mut DeltaRel,
-    fp: &mut Fixpoint,
-) -> Result<(), PersistError> {
+    cp: Option<&mut Checkpointer>,
+    closure: DeltaRel,
+    start_round: u64,
+) -> Result<Hierarchy, PersistError> {
     let spec = ClosureSpec {
         analysis: "hierarchy",
         phase: 0,
         rule: "hop",
         extra: &[],
     };
-    drive_closure(f, cp, &spec, closure, fp, &|d| hierarchy::hop(f, d))
+    let subtype_of = drive_closure(f, cp, &spec, closure, start_round, &|d| {
+        hierarchy::hop(f, d)
+    })?;
+    Ok(Hierarchy { subtype_of })
+}
+
+/// The semi-naive [`hierarchy::compute`], checkpointed when `cp` is
+/// given.
+pub(crate) fn run_hierarchy(
+    f: &Facts,
+    cp: Option<&mut Checkpointer>,
+) -> Result<Hierarchy, PersistError> {
+    f.u.set_site("hierarchy");
+    let closure = DeltaRel::new("subtype_of", hierarchy::initial(f)?);
+    finish_hierarchy(f, cp, closure, 0)
 }
 
 /// [`hierarchy::compute`] with checkpoints.
@@ -239,13 +295,7 @@ fn finish_hierarchy(
 ///
 /// Analysis and checkpoint-store failures ([`PersistError`]).
 pub fn hierarchy_checkpointed(f: &Facts, cp: &mut Checkpointer) -> Result<Hierarchy, PersistError> {
-    f.u.set_site("hierarchy");
-    let mut closure = DeltaRel::new("subtype_of", hierarchy::initial(f)?);
-    let mut fp = Fixpoint::new(&f.u, "hierarchy");
-    finish_hierarchy(f, cp, &mut closure, &mut fp)?;
-    Ok(Hierarchy {
-        subtype_of: closure.into_current(),
-    })
+    run_hierarchy(f, Some(cp))
 }
 
 /// Resumes a [`hierarchy_checkpointed`] run from the newest valid
@@ -262,69 +312,62 @@ pub fn hierarchy_resume(
 ) -> Result<(Facts, Hierarchy), PersistError> {
     let (rp, f) = reopen(dir, "hierarchy", budget)?;
     f.u.set_site("hierarchy");
-    let mut closure = DeltaRel::from_parts(
-        "subtype_of",
-        take_rel(&rp, "state.current")?,
-        take_rel(&rp, "state.delta")?,
-    )?;
-    let mut fp = Fixpoint::new(&f.u, "hierarchy").with_start_round(rp.record.round);
-    finish_hierarchy(&f, cp, &mut closure, &mut fp)?;
-    Ok((
-        f,
-        Hierarchy {
-            subtype_of: closure.into_current(),
-        },
-    ))
+    let closure = take_delta(&rp, "subtype_of", "")?;
+    let h = finish_hierarchy(&f, Some(cp), closure, rp.record.round)?;
+    Ok((f, h))
 }
 
 // --- Virtual call resolution -------------------------------------------
 
-/// The Fig. 4 loop with checkpoints. Unlike the closure loops, `vcr`'s
-/// round is pure — it returns the next `(to_resolve, answer)` pair
-/// without mutating the old one — so the pre-round pair is the last good
-/// state by construction.
+/// The Fig. 4 loop (lines 5–11). Unlike the closure loops, `vcr`'s round
+/// is pure — it returns the next `(to_resolve, answer)` pair without
+/// mutating the old one — so the pre-round pair is the last good state by
+/// construction. Returns the completed answer.
 fn finish_vcr(
     f: &Facts,
-    cp: &mut Checkpointer,
+    mut cp: Option<&mut Checkpointer>,
     site_types: &Relation,
-    to_resolve: &mut Relation,
-    answer: &mut Relation,
-    fp: &mut Fixpoint,
-) -> Result<(), PersistError> {
+    mut to_resolve: Relation,
+    mut answer: Relation,
+    start_round: u64,
+) -> Result<Relation, PersistError> {
+    let mut fp = Fixpoint::new(&f.u, "vcr").with_start_round(start_round);
     loop {
-        // The plain loop always runs its first round (an empty worklist
+        // A fresh run always runs its first round (an empty worklist
         // still produces the empty answer); after that it stops as soon
-        // as the worklist drains.
+        // as the worklist drains. A resumed run starts past round zero,
+        // so the same guard makes it stop where the fresh run would.
         if fp.rounds() > 0 && to_resolve.is_empty() {
-            return Ok(());
+            return Ok(answer);
         }
-        let res = (|| -> Result<(), JeddError> {
+        let round = (|| -> Result<(), JeddError> {
             fp.begin_round()?;
-            let (tr, ans) = vcr::round(f, to_resolve, answer)?;
-            *to_resolve = tr;
-            *answer = ans;
+            let (tr, ans) = vcr::round(f, &to_resolve, &answer)?;
+            to_resolve = tr;
+            answer = ans;
             fp.end_round(&[]);
             Ok(())
         })();
-        let state = [
-            ("input.site_types", site_types),
-            ("state.to_resolve", &*to_resolve),
-            ("state.answer", &*answer),
-        ];
-        match res {
-            Ok(()) => {
-                if cp.due_after_round(fp.rounds()) {
-                    cut(cp, f, "vcr", fp.rounds(), 0, 0, &state)?;
-                }
-            }
-            Err(e) => {
-                if failure_checkpoint_due(cp, &e) {
-                    cut(cp, f, "vcr", fp.rounds(), 0, 0, &state)?;
-                }
-                return Err(PersistError::Jedd(e));
-            }
-        }
+        settle_round(cp.as_deref_mut(), round, fp.rounds(), |cp| {
+            let state = [
+                ("input.site_types", site_types),
+                ("state.to_resolve", &to_resolve),
+                ("state.answer", &answer),
+            ];
+            cut(cp, f, "vcr", fp.rounds(), 0, 0, &state)
+        })?;
     }
+}
+
+/// The [`vcr::resolve`] loop, checkpointed when `cp` is given.
+pub(crate) fn run_vcr(
+    f: &Facts,
+    site_types: &Relation,
+    cp: Option<&mut Checkpointer>,
+) -> Result<Relation, PersistError> {
+    f.u.set_site("vcr");
+    let (to_resolve, answer) = vcr::init(f, site_types)?;
+    finish_vcr(f, cp, site_types, to_resolve, answer, 0)
 }
 
 /// [`vcr::resolve`] with checkpoints.
@@ -337,11 +380,7 @@ pub fn vcr_checkpointed(
     site_types: &Relation,
     cp: &mut Checkpointer,
 ) -> Result<Relation, PersistError> {
-    f.u.set_site("vcr");
-    let (mut to_resolve, mut answer) = vcr::init(f, site_types)?;
-    let mut fp = Fixpoint::new(&f.u, "vcr");
-    finish_vcr(f, cp, site_types, &mut to_resolve, &mut answer, &mut fp)?;
-    Ok(answer)
+    run_vcr(f, site_types, Some(cp))
 }
 
 /// Resumes a [`vcr_checkpointed`] run. Returns the rebuilt [`Facts`] and
@@ -358,10 +397,10 @@ pub fn vcr_resume(
     let (rp, f) = reopen(dir, "vcr", budget)?;
     f.u.set_site("vcr");
     let site_types = take_rel(&rp, "input.site_types")?;
-    let mut to_resolve = take_rel(&rp, "state.to_resolve")?;
-    let mut answer = take_rel(&rp, "state.answer")?;
-    let mut fp = Fixpoint::new(&f.u, "vcr").with_start_round(rp.record.round);
-    finish_vcr(&f, cp, &site_types, &mut to_resolve, &mut answer, &mut fp)?;
+    let to_resolve = take_rel(&rp, "state.to_resolve")?;
+    let answer = take_rel(&rp, "state.answer")?;
+    let round = rp.record.round;
+    let answer = finish_vcr(&f, Some(cp), &site_types, to_resolve, answer, round)?;
     Ok((f, answer))
 }
 
@@ -369,22 +408,42 @@ pub fn vcr_resume(
 
 fn finish_callgraph(
     f: &Facts,
-    cp: &mut Checkpointer,
-    site_targets: &Relation,
-    edges: &Relation,
-    reach: &mut DeltaRel,
-    fp: &mut Fixpoint,
-) -> Result<(), PersistError> {
-    let extra = [("input.site_targets", site_targets), ("input.edges", edges)];
+    cp: Option<&mut Checkpointer>,
+    site_targets: Relation,
+    edges: Relation,
+    reach: DeltaRel,
+    start_round: u64,
+) -> Result<CallGraph, PersistError> {
+    let extra = [
+        ("input.site_targets", &site_targets),
+        ("input.edges", &edges),
+    ];
     let spec = ClosureSpec {
         analysis: "callgraph",
         phase: 0,
         rule: "callees",
         extra: &extra,
     };
-    drive_closure(f, cp, &spec, reach, fp, &|d| {
-        callgraph::callees(f, edges, d)
+    let reachable = drive_closure(f, cp, &spec, reach, start_round, &|d| {
+        callgraph::callees(f, &edges, d)
+    })?;
+    Ok(CallGraph {
+        site_targets,
+        edges,
+        reachable,
     })
+}
+
+/// The semi-naive [`callgraph::build`], checkpointed when `cp` is given.
+pub(crate) fn run_callgraph(
+    f: &Facts,
+    site_targets: &Relation,
+    cp: Option<&mut Checkpointer>,
+) -> Result<CallGraph, PersistError> {
+    f.u.set_site("callgraph");
+    let edges = callgraph::derive_edges(f, site_targets)?;
+    let reach = DeltaRel::new("reachable", f.entry.clone());
+    finish_callgraph(f, cp, site_targets.clone(), edges, reach, 0)
 }
 
 /// [`callgraph::build`] with checkpoints.
@@ -397,16 +456,7 @@ pub fn callgraph_checkpointed(
     site_targets: &Relation,
     cp: &mut Checkpointer,
 ) -> Result<CallGraph, PersistError> {
-    f.u.set_site("callgraph");
-    let edges = callgraph::derive_edges(f, site_targets)?;
-    let mut reach = DeltaRel::new("reachable", f.entry.clone());
-    let mut fp = Fixpoint::new(&f.u, "callgraph");
-    finish_callgraph(f, cp, site_targets, &edges, &mut reach, &mut fp)?;
-    Ok(CallGraph {
-        site_targets: site_targets.clone(),
-        edges,
-        reachable: reach.into_current(),
-    })
+    run_callgraph(f, site_targets, Some(cp))
 }
 
 /// Resumes a [`callgraph_checkpointed`] run.
@@ -423,28 +473,18 @@ pub fn callgraph_resume(
     f.u.set_site("callgraph");
     let site_targets = take_rel(&rp, "input.site_targets")?;
     let edges = take_rel(&rp, "input.edges")?;
-    let mut reach = DeltaRel::from_parts(
-        "reachable",
-        take_rel(&rp, "state.current")?,
-        take_rel(&rp, "state.delta")?,
-    )?;
-    let mut fp = Fixpoint::new(&f.u, "callgraph").with_start_round(rp.record.round);
-    finish_callgraph(&f, cp, &site_targets, &edges, &mut reach, &mut fp)?;
-    Ok((
-        f,
-        CallGraph {
-            site_targets,
-            edges,
-            reachable: reach.into_current(),
-        },
-    ))
+    let reach = take_delta(&rp, "reachable", "")?;
+    let cg = finish_callgraph(&f, Some(cp), site_targets, edges, reach, rp.record.round)?;
+    Ok((f, cg))
 }
 
 // --- Side effects ------------------------------------------------------
 
 /// The inputs and already-fixed relations a side-effect phase persists
 /// beside its in-flight closure: phase 1 closes the reads, phase 2
-/// closes the writes with the finished `reads_star` carried along.
+/// closes the writes with the finished `reads_star` carried along, so
+/// `reads_star` being present is what marks phase 2.
+#[derive(Clone, Copy)]
 struct SeCtx<'a> {
     pt: &'a Relation,
     edges: &'a Relation,
@@ -453,14 +493,13 @@ struct SeCtx<'a> {
     reads_star: Option<&'a Relation>,
 }
 
-fn finish_sideeffect_phase(
+fn close_sideeffect_phase(
     f: &Facts,
-    cp: &mut Checkpointer,
+    cp: Option<&mut Checkpointer>,
     ctx: &SeCtx<'_>,
-    phase: u32,
-    star: &mut DeltaRel,
-    fp: &mut Fixpoint,
-) -> Result<(), PersistError> {
+    star: DeltaRel,
+    start_round: u64,
+) -> Result<Relation, PersistError> {
     let mut extra: Vec<(&str, &Relation)> = vec![
         ("input.pt", ctx.pt),
         ("input.edges", ctx.edges),
@@ -472,27 +511,52 @@ fn finish_sideeffect_phase(
     }
     let spec = ClosureSpec {
         analysis: "sideeffect",
-        phase,
+        phase: if ctx.reads_star.is_some() { 2 } else { 1 },
         rule: "lift",
         extra: &extra,
     };
-    drive_closure(f, cp, &spec, star, fp, &|d| {
+    drive_closure(f, cp, &spec, star, start_round, &|d| {
         sideeffect::lift(f, ctx.edges, d)
     })
 }
 
-/// [`sideeffect::compute`] with checkpoints. The two transitive closures
-/// run as phases 1 (reads) and 2 (writes) so a resume knows which one
-/// was in flight.
-///
-/// # Errors
-///
-/// Analysis and checkpoint-store failures ([`PersistError`]).
-pub fn sideeffect_checkpointed(
+/// Finishes the side-effect phase in flight from `star`, then — when
+/// that was phase 1 — runs phase 2 in full.
+fn finish_sideeffect(
+    f: &Facts,
+    mut cp: Option<&mut Checkpointer>,
+    ctx: SeCtx<'_>,
+    star: DeltaRel,
+    start_round: u64,
+) -> Result<SideEffects, PersistError> {
+    let (star, start_round, reads_star) = match ctx.reads_star {
+        Some(rs) => (star, start_round, rs.clone()),
+        None => {
+            let rs = close_sideeffect_phase(f, cp.as_deref_mut(), &ctx, star, start_round)?;
+            (DeltaRel::new("rw_star", ctx.writes.clone()), 0, rs)
+        }
+    };
+    let phase2 = SeCtx {
+        reads_star: Some(&reads_star),
+        ..ctx
+    };
+    let writes_star = close_sideeffect_phase(f, cp, &phase2, star, start_round)?;
+    Ok(SideEffects {
+        reads: ctx.reads.clone(),
+        writes: ctx.writes.clone(),
+        reads_star,
+        writes_star,
+    })
+}
+
+/// The semi-naive [`sideeffect::compute`], checkpointed when `cp` is
+/// given. The two transitive closures run as phases 1 (reads) and 2
+/// (writes) so a resume knows which one was in flight.
+pub(crate) fn run_sideeffect(
     f: &Facts,
     pt: &Relation,
     edges: &Relation,
-    cp: &mut Checkpointer,
+    cp: Option<&mut Checkpointer>,
 ) -> Result<SideEffects, PersistError> {
     f.u.set_site("sideeffect");
     let (reads, writes) = sideeffect::direct_effects(f, pt)?;
@@ -503,24 +567,22 @@ pub fn sideeffect_checkpointed(
         writes: &writes,
         reads_star: None,
     };
-    let mut star = DeltaRel::new("rw_star", reads.clone());
-    let mut fp = Fixpoint::new(&f.u, "sideeffect");
-    finish_sideeffect_phase(f, cp, &ctx, 1, &mut star, &mut fp)?;
-    let reads_star = star.into_current();
+    let star = DeltaRel::new("rw_star", reads.clone());
+    finish_sideeffect(f, cp, ctx, star, 0)
+}
 
-    let ctx = SeCtx {
-        reads_star: Some(&reads_star),
-        ..ctx
-    };
-    let mut star = DeltaRel::new("rw_star", writes.clone());
-    let mut fp = Fixpoint::new(&f.u, "sideeffect");
-    finish_sideeffect_phase(f, cp, &ctx, 2, &mut star, &mut fp)?;
-    Ok(SideEffects {
-        reads,
-        writes,
-        reads_star,
-        writes_star: star.into_current(),
-    })
+/// [`sideeffect::compute`] with checkpoints.
+///
+/// # Errors
+///
+/// Analysis and checkpoint-store failures ([`PersistError`]).
+pub fn sideeffect_checkpointed(
+    f: &Facts,
+    pt: &Relation,
+    edges: &Relation,
+    cp: &mut Checkpointer,
+) -> Result<SideEffects, PersistError> {
+    run_sideeffect(f, pt, edges, Some(cp))
 }
 
 /// Resumes a [`sideeffect_checkpointed`] run: finishes the interrupted
@@ -541,45 +603,10 @@ pub fn sideeffect_resume(
     let edges = take_rel(&rp, "input.edges")?;
     let reads = take_rel(&rp, "state.reads")?;
     let writes = take_rel(&rp, "state.writes")?;
-    let mut star = DeltaRel::from_parts(
-        "rw_star",
-        take_rel(&rp, "state.current")?,
-        take_rel(&rp, "state.delta")?,
-    )?;
+    let star = take_delta(&rp, "rw_star", "")?;
     let reads_star = match rp.record.phase {
-        1 => {
-            let ctx = SeCtx {
-                pt: &pt,
-                edges: &edges,
-                reads: &reads,
-                writes: &writes,
-                reads_star: None,
-            };
-            let mut fp = Fixpoint::new(&f.u, "sideeffect").with_start_round(rp.record.round);
-            finish_sideeffect_phase(&f, cp, &ctx, 1, &mut star, &mut fp)?;
-            let reads_star = star.into_current();
-            star = DeltaRel::new("rw_star", writes.clone());
-            let ctx = SeCtx {
-                reads_star: Some(&reads_star),
-                ..ctx
-            };
-            let mut fp = Fixpoint::new(&f.u, "sideeffect");
-            finish_sideeffect_phase(&f, cp, &ctx, 2, &mut star, &mut fp)?;
-            reads_star
-        }
-        2 => {
-            let reads_star = take_rel(&rp, "state.reads_star")?;
-            let ctx = SeCtx {
-                pt: &pt,
-                edges: &edges,
-                reads: &reads,
-                writes: &writes,
-                reads_star: Some(&reads_star),
-            };
-            let mut fp = Fixpoint::new(&f.u, "sideeffect").with_start_round(rp.record.round);
-            finish_sideeffect_phase(&f, cp, &ctx, 2, &mut star, &mut fp)?;
-            reads_star
-        }
+        1 => None,
+        2 => Some(take_rel(&rp, "state.reads_star")?),
         p => {
             return Err(JeddError::InvalidRestore {
                 detail: format!("unknown sideeffect phase {p}"),
@@ -587,15 +614,15 @@ pub fn sideeffect_resume(
             .into())
         }
     };
-    Ok((
-        f,
-        SideEffects {
-            reads,
-            writes,
-            reads_star,
-            writes_star: star.into_current(),
-        },
-    ))
+    let ctx = SeCtx {
+        pt: &pt,
+        edges: &edges,
+        reads: &reads,
+        writes: &writes,
+        reads_star: reads_star.as_ref(),
+    };
+    let se = finish_sideeffect(&f, Some(cp), ctx, star, rp.record.round)?;
+    Ok((f, se))
 }
 
 // --- Points-to ---------------------------------------------------------
@@ -615,23 +642,20 @@ fn pt_aux(mode: CallGraphMode, typed: bool) -> u64 {
     aux
 }
 
-/// Clones the full [`PtState`] at a round boundary — the last good state
-/// for the failure checkpoint. Unlike the single-`DeltaRel` loops, a
-/// points-to round mutates several trackers in sequence, so a failed
-/// round can leave the in-place state past the boundary.
-fn pt_state_rels(st: &PtState) -> Vec<(&'static str, Relation)> {
-    vec![
-        ("state.pt.current", st.pt.current().clone()),
-        ("state.pt.delta", st.pt.delta().clone()),
-        ("state.field_pt.current", st.field_pt.current().clone()),
-        ("state.field_pt.delta", st.field_pt.delta().clone()),
-        ("state.cg.current", st.cg.current().clone()),
-        ("state.cg.delta", st.cg.delta().clone()),
-        ("state.edges.current", st.edges.current().clone()),
-        ("state.edges.delta", st.edges.delta().clone()),
-        ("state.site_types.current", st.site_types.current().clone()),
-        ("state.site_types.delta", st.site_types.delta().clone()),
-        ("state.pt_seen", st.pt_seen.clone()),
+/// The `state.*` names of a [`PtState`] at a round boundary.
+fn pt_state_rels(st: &PtState) -> [(&'static str, &Relation); 11] {
+    [
+        ("state.pt.current", st.pt.current()),
+        ("state.pt.delta", st.pt.delta()),
+        ("state.field_pt.current", st.field_pt.current()),
+        ("state.field_pt.delta", st.field_pt.delta()),
+        ("state.cg.current", st.cg.current()),
+        ("state.cg.delta", st.cg.delta()),
+        ("state.edges.current", st.edges.current()),
+        ("state.edges.delta", st.edges.delta()),
+        ("state.site_types.current", st.site_types.current()),
+        ("state.site_types.delta", st.site_types.delta()),
+        ("state.pt_seen", &st.pt_seen),
     ]
 }
 
@@ -640,50 +664,91 @@ fn cut_pt(
     f: &Facts,
     aux: u64,
     allowed: Option<&Relation>,
-    good: &(Vec<(&'static str, Relation)>, u64),
+    state: &[(&'static str, &Relation)],
+    round: u64,
 ) -> Result<(), StoreError> {
-    let mut rels: Vec<(&str, &Relation)> = good.0.iter().map(|(n, r)| (*n, r)).collect();
+    let mut rels: Vec<(&str, &Relation)> = state.to_vec();
     if let Some(a) = allowed {
         rels.push(("input.allowed", a));
     }
-    cut(cp, f, "pointsto", good.1, 0, aux, &rels)
+    cut(cp, f, "pointsto", round, 0, aux, &rels)
 }
 
-/// Drives the points-to outer loop with checkpoints; returns the outer
-/// iteration count at quiescence.
+/// Drives the points-to outer loop from `st` to quiescence. Each round
+/// is [`pointsto::pt_round`]: it derives new tuples only from the
+/// frontiers of the previous round, and mirrors the naive oracle's round
+/// structure exactly, so both strategies take the same number of outer
+/// rounds and reach the same least fixpoint.
 fn finish_pointsto(
     f: &Facts,
-    cp: &mut Checkpointer,
+    mut cp: Option<&mut Checkpointer>,
     mode: CallGraphMode,
     allowed: Option<&Relation>,
-    st: &mut PtState,
-    fp: &mut Fixpoint,
-) -> Result<usize, PersistError> {
+    mut st: PtState,
+    start_round: u64,
+) -> Result<PointsTo, PersistError> {
+    let mut fp = Fixpoint::new(&f.u, "pointsto").with_start_round(start_round);
     let aux = pt_aux(mode, allowed.is_some());
-    let mut last_good = (pt_state_rels(st), fp.rounds());
+    // A points-to round mutates several trackers in sequence, so a failed
+    // round can leave the in-place state past the boundary. The failure
+    // checkpoint therefore needs a copy of the last good state, taken
+    // after every round — but only when the policy can ask for one.
+    let keeps_last_good = cp.as_deref().is_some_and(|cp| {
+        let policy = cp.policy();
+        policy.on_exhausted || policy.on_cancel
+    });
+    let copy = |st: &PtState, round: u64| (pt_state_rels(st).map(|(n, r)| (n, r.clone())), round);
+    let mut last_good = keeps_last_good.then(|| copy(&st, fp.rounds()));
     loop {
-        // Same termination condition as [`pointsto::pt_round`] reports:
-        // loads, call edges and assignment edges all quiesced. The first
-        // round always runs (a fresh state starts with Δpt = pt).
+        // Loads, call edges and assignment edges all quiesced — the naive
+        // oracle's `done` check. (Δfield_pt and Δsite_types are excluded:
+        // their only consumers already ran against them.) A fresh run
+        // always runs its first round (its Δpt is all of pt); a resumed
+        // run starts past round zero and stops where the fresh run would.
         let more = st.pt.has_delta() || st.cg.has_delta() || st.edges.has_delta();
         if fp.rounds() > 0 && !more {
-            return Ok(fp.rounds() as usize);
+            let iterations = fp.rounds() as usize;
+            return Ok(st.into_result(iterations));
         }
-        match pointsto::pt_round(f, mode, allowed, st, fp) {
-            Ok(_) => {
-                last_good = (pt_state_rels(st), fp.rounds());
+        let round = pointsto::pt_round(f, mode, allowed, &mut st, &mut fp);
+        let Some(cp) = cp.as_deref_mut() else {
+            round?;
+            continue;
+        };
+        match round {
+            Ok(()) => {
                 if cp.due_after_round(fp.rounds()) {
-                    cut_pt(cp, f, aux, allowed, &last_good)?;
+                    cut_pt(cp, f, aux, allowed, &pt_state_rels(&st), fp.rounds())?;
+                }
+                if keeps_last_good {
+                    last_good = Some(copy(&st, fp.rounds()));
                 }
             }
             Err(e) => {
-                if failure_checkpoint_due(cp, &e) {
-                    cut_pt(cp, f, aux, allowed, &last_good)?;
+                if let Some((rels, round)) = &last_good {
+                    if failure_checkpoint_due(cp, &e) {
+                        let rels = rels.each_ref().map(|(n, r)| (*n, r));
+                        cut_pt(cp, f, aux, allowed, &rels, *round)?;
+                    }
                 }
-                return Err(PersistError::Jedd(e));
+                return Err(e.into());
             }
         }
     }
+}
+
+/// The semi-naive [`pointsto::analyze`] (or, given the declared-type
+/// filter `allowed`, [`pointsto::analyze_typed`]), checkpointed when
+/// `cp` is given.
+pub(crate) fn run_pointsto(
+    f: &Facts,
+    mode: CallGraphMode,
+    allowed: Option<&Relation>,
+    cp: Option<&mut Checkpointer>,
+) -> Result<PointsTo, PersistError> {
+    f.u.set_site("pointsto");
+    let st = pointsto::pt_init(f, allowed)?;
+    finish_pointsto(f, cp, mode, allowed, st, 0)
 }
 
 /// [`pointsto::analyze`] with checkpoints.
@@ -696,11 +761,7 @@ pub fn pointsto_checkpointed(
     mode: CallGraphMode,
     cp: &mut Checkpointer,
 ) -> Result<PointsTo, PersistError> {
-    f.u.set_site("pointsto");
-    let mut st = pointsto::pt_init(f, None)?;
-    let mut fp = Fixpoint::new(&f.u, "pointsto");
-    let iterations = finish_pointsto(f, cp, mode, None, &mut st, &mut fp)?;
-    Ok(st.into_result(iterations))
+    run_pointsto(f, mode, None, Some(cp))
 }
 
 /// [`pointsto::analyze_typed`] with checkpoints: the declared-type
@@ -716,11 +777,7 @@ pub fn pointsto_checkpointed_typed(
     cp: &mut Checkpointer,
 ) -> Result<PointsTo, PersistError> {
     let allowed = pointsto::typed_filter(f, subtype_of)?;
-    f.u.set_site("pointsto");
-    let mut st = pointsto::pt_init(f, Some(&allowed))?;
-    let mut fp = Fixpoint::new(&f.u, "pointsto");
-    let iterations = finish_pointsto(f, cp, mode, Some(&allowed), &mut st, &mut fp)?;
-    Ok(st.into_result(iterations))
+    run_pointsto(f, mode, Some(&allowed), Some(cp))
 }
 
 /// Resumes a [`pointsto_checkpointed`] (or `_typed`) run; the call-graph
@@ -747,35 +804,15 @@ pub fn pointsto_resume(
     } else {
         None
     };
-    let mut st = PtState {
-        pt: DeltaRel::from_parts(
-            "pt",
-            take_rel(&rp, "state.pt.current")?,
-            take_rel(&rp, "state.pt.delta")?,
-        )?,
-        field_pt: DeltaRel::from_parts(
-            "field_pt",
-            take_rel(&rp, "state.field_pt.current")?,
-            take_rel(&rp, "state.field_pt.delta")?,
-        )?,
-        cg: DeltaRel::from_parts(
-            "cg",
-            take_rel(&rp, "state.cg.current")?,
-            take_rel(&rp, "state.cg.delta")?,
-        )?,
-        edges: DeltaRel::from_parts(
-            "edges",
-            take_rel(&rp, "state.edges.current")?,
-            take_rel(&rp, "state.edges.delta")?,
-        )?,
-        site_types: DeltaRel::from_parts(
-            "site_types",
-            take_rel(&rp, "state.site_types.current")?,
-            take_rel(&rp, "state.site_types.delta")?,
-        )?,
+    let st = PtState {
+        pt: take_delta(&rp, "pt", "pt.")?,
+        field_pt: take_delta(&rp, "field_pt", "field_pt.")?,
+        cg: take_delta(&rp, "cg", "cg.")?,
+        edges: take_delta(&rp, "edges", "edges.")?,
+        site_types: take_delta(&rp, "site_types", "site_types.")?,
         pt_seen: take_rel(&rp, "state.pt_seen")?,
     };
-    let mut fp = Fixpoint::new(&f.u, "pointsto").with_start_round(rp.record.round);
-    let iterations = finish_pointsto(&f, cp, mode, allowed.as_ref(), &mut st, &mut fp)?;
-    Ok((f, st.into_result(iterations)))
+    let round = rp.record.round;
+    let r = finish_pointsto(&f, Some(cp), mode, allowed.as_ref(), st, round)?;
+    Ok((f, r))
 }

@@ -5,7 +5,7 @@
 //! paper's five analyses.
 
 use crate::facts::Facts;
-use crate::vcr;
+use crate::{persist, vcr};
 use jedd_core::{DeltaRel, Fixpoint, JeddError, Relation, Strategy};
 
 /// How receiver types are determined for call-graph construction.
@@ -113,7 +113,9 @@ fn analyze_impl(
 ) -> Result<PointsTo, JeddError> {
     match strategy {
         Strategy::Naive => analyze_naive(f, mode, allowed),
-        Strategy::SemiNaive => analyze_seminaive(f, mode, allowed),
+        Strategy::SemiNaive => {
+            persist::run_pointsto(f, mode, allowed, None).map_err(persist::into_jedd)
+        }
     }
 }
 
@@ -296,16 +298,23 @@ pub(crate) fn pt_init(f: &Facts, allowed: Option<&Relation>) -> Result<PtState, 
     })
 }
 
-/// One outer semi-naive round (`begin_round` through `end_round`),
-/// shared verbatim by [`analyze_seminaive`] and the checkpointed driver.
-/// Returns whether another round is needed.
+/// One outer semi-naive round (`begin_round` through `end_round`): the
+/// body of the one points-to loop in [`crate::persist`], which both the
+/// plain and the checkpointed runs go through. Each round derives new
+/// tuples only from the frontiers of the previous round. Bilinear rules
+/// split into one term per body literal — `Δa ⊗ b_full ∪ a_full ⊗ Δb` —
+/// with the composes associated so every intermediate stays
+/// delta-restricted. The round structure mirrors [`analyze_naive`]
+/// exactly (copy propagation runs to a local fixpoint inside each outer
+/// round), so the two strategies take the same number of outer rounds and
+/// reach the same least fixpoint.
 pub(crate) fn pt_round(
     f: &Facts,
     mode: CallGraphMode,
     allowed: Option<&Relation>,
     st: &mut PtState,
     fp: &mut Fixpoint,
-) -> Result<bool, JeddError> {
+) -> Result<(), JeddError> {
     let filter = |r: Relation| filtered(allowed, r);
     // pt with the object moved aside and named baseobj, for matching base
     // variables of loads/stores.
@@ -492,37 +501,8 @@ pub(crate) fn pt_round(
     }
     edges.advance()?;
 
-    // Same termination condition as the naive driver's `done` check:
-    // loads, call edges and assignment edges all quiesced this round.
-    // (Δfield_pt and Δsite_types are excluded — their only consumers
-    // already ran against them above.)
-    let more = pt.has_delta() || cg.has_delta() || edges.has_delta();
     fp.end_round(&[pt, field_pt, cg, edges]);
-    Ok(more)
-}
-
-/// The semi-naive driver: each round derives new tuples only from the
-/// frontiers of the previous round. Bilinear rules split into one term
-/// per body literal — `Δa ⊗ b_full ∪ a_full ⊗ Δb` — with the composes
-/// associated so every intermediate stays delta-restricted. The round
-/// structure mirrors [`analyze_naive`] exactly (copy propagation runs to a
-/// local fixpoint inside each outer round), so the two strategies take the
-/// same number of outer rounds and reach the same least fixpoint.
-fn analyze_seminaive(
-    f: &Facts,
-    mode: CallGraphMode,
-    allowed: Option<&Relation>,
-) -> Result<PointsTo, JeddError> {
-    f.u.set_site("pointsto");
-    let mut st = pt_init(f, allowed)?;
-    let mut fp = Fixpoint::new(&f.u, "pointsto");
-    loop {
-        let more = pt_round(f, mode, allowed, &mut st, &mut fp)?;
-        if !more {
-            let iterations = fp.rounds() as usize;
-            return Ok(st.into_result(iterations));
-        }
-    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -758,11 +738,9 @@ mod typed_tests {
     fn typed_is_subset_of_untyped() {
         let p = Benchmark::Compress.generate();
         let f = Facts::load(&p).unwrap();
-        let h = hierarchy::compute(&f).unwrap();
         let untyped = analyze(&f, CallGraphMode::OnTheFly).unwrap();
         let f2 = Facts::load(&p).unwrap();
         let h2 = hierarchy::compute(&f2).unwrap();
-        let _ = h;
         let typed = analyze_typed(&f2, CallGraphMode::OnTheFly, &h2.subtype_of).unwrap();
         // Compare as tuple sets (separate universes).
         let t: BTreeSet<Vec<u64>> = typed.pt.tuples().into_iter().collect();

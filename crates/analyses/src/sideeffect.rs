@@ -4,7 +4,8 @@
 //! against 803 lines of set-manipulating Java (paper §5).
 
 use crate::facts::Facts;
-use jedd_core::{DeltaRel, Fixpoint, JeddError, Relation, Strategy};
+use crate::{naive_closure, persist};
+use jedd_core::{JeddError, Relation, Strategy};
 
 /// The computed side-effect relations, each `(method, baseobj, field)`.
 pub struct SideEffects {
@@ -40,55 +41,33 @@ pub fn compute_with(
     edges: &Relation,
     strategy: Strategy,
 ) -> Result<SideEffects, JeddError> {
-    f.u.set_site("sideeffect");
-    let (reads, writes) = direct_effects(f, pt)?;
-    let lift = |rw: &Relation| lift(f, edges, rw);
-
-    // Transitive closure over the call graph: rw*(caller) ⊇ rw*(callee).
-    let close = |direct: &Relation| -> Result<Relation, JeddError> {
-        match strategy {
-            Strategy::Naive => {
-                let mut star = direct.clone();
-                let mut fp = Fixpoint::new(&f.u, "sideeffect");
-                loop {
-                    fp.begin_round()?;
-                    let step = lift(&star)?;
-                    let next = star.union(&step)?;
-                    let done = next.equals(&star)?;
-                    star = next;
-                    fp.end_round(&[]);
-                    if done {
-                        return Ok(star);
-                    }
-                }
-            }
-            Strategy::SemiNaive => {
-                let mut star = DeltaRel::new("rw_star", direct.clone());
-                let mut fp = Fixpoint::new(&f.u, "sideeffect");
-                while star.has_delta() {
-                    fp.begin_round()?;
-                    let step = fp.rule("lift", || lift(star.delta()))?;
-                    star.absorb(&step)?;
-                    fp.end_round(&[&star]);
-                }
-                Ok(star.into_current())
-            }
+    match strategy {
+        Strategy::Naive => {
+            f.u.set_site("sideeffect");
+            let (reads, writes) = direct_effects(f, pt)?;
+            // Transitive closure over the call graph: rw*(caller) ⊇ rw*(callee).
+            let close = |direct: &Relation| {
+                naive_closure(&f.u, "sideeffect", direct.clone(), |rw| lift(f, edges, rw))
+            };
+            let reads_star = close(&reads)?;
+            let writes_star = close(&writes)?;
+            Ok(SideEffects {
+                reads,
+                writes,
+                reads_star,
+                writes_star,
+            })
         }
-    };
-    let reads_star = close(&reads)?;
-    let writes_star = close(&writes)?;
-    Ok(SideEffects {
-        reads,
-        writes,
-        reads_star,
-        writes_star,
-    })
+        Strategy::SemiNaive => {
+            persist::run_sideeffect(f, pt, edges, None).map_err(persist::into_jedd)
+        }
+    }
 }
 
 /// Direct effects: resolve the base variable of each access through `pt`.
 /// `load_in`/`store_in` are `(method, base, field)`. Returns
-/// `(reads, writes)`. Shared by both strategies and the checkpointed
-/// driver.
+/// `(reads, writes)`. Shared by the naive oracle and the semi-naive loop
+/// in [`crate::persist`].
 pub(crate) fn direct_effects(f: &Facts, pt: &Relation) -> Result<(Relation, Relation), JeddError> {
     let pt_base = pt
         .rename(f.obj, f.baseobj)?
@@ -99,7 +78,9 @@ pub(crate) fn direct_effects(f: &Facts, pt: &Relation) -> Result<(Relation, Rela
 }
 
 /// `(caller, baseobj, field) = edges{method} ∘ rw{method}`: effects of
-/// callees lifted to their callers.
+/// callees lifted to their callers. The closure step of both phases,
+/// shared by the naive oracle and the semi-naive loop in
+/// [`crate::persist`].
 pub(crate) fn lift(f: &Facts, edges: &Relation, rw: &Relation) -> Result<Relation, JeddError> {
     edges
         .compose(&[f.method], rw, &[f.method])?

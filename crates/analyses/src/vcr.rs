@@ -4,7 +4,8 @@
 //! up the class hierarchy.
 
 use crate::facts::Facts;
-use jedd_core::{Fixpoint, JeddError, Relation};
+use crate::persist;
+use jedd_core::{JeddError, Relation};
 
 /// Resolves virtual calls.
 ///
@@ -23,23 +24,10 @@ use jedd_core::{Fixpoint, JeddError, Relation};
 /// # Errors
 ///
 /// Propagates relational-layer errors, and a divergence error (through
-/// the [`Fixpoint`] round bound) if the hierarchy walk never terminates —
+/// the `Fixpoint` round bound) if the hierarchy walk never terminates —
 /// e.g. an `extend` cycle none of whose types declares the signature.
 pub fn resolve(f: &Facts, site_types: &Relation) -> Result<Relation, JeddError> {
-    f.u.set_site("vcr");
-    let (mut to_resolve, mut answer) = init(f, site_types)?;
-    let mut fp = Fixpoint::new(&f.u, "vcr");
-    // Line 5-11 of Fig. 4.
-    loop {
-        fp.begin_round()?;
-        let (tr, ans) = round(f, &to_resolve, &answer)?;
-        to_resolve = tr;
-        answer = ans;
-        fp.end_round(&[]);
-        if to_resolve.is_empty() {
-            return Ok(answer);
-        }
-    }
+    persist::run_vcr(f, site_types, None).map_err(persist::into_jedd)
 }
 
 /// Builds the initial `(to_resolve, answer)` pair:
@@ -58,7 +46,9 @@ pub(crate) fn init(f: &Facts, site_types: &Relation) -> Result<(Relation, Relati
 
 /// One resolution round: resolve cursors whose current type declares the
 /// signature, union them into the answer, and walk the rest one level up
-/// the hierarchy. Returns the next `(to_resolve, answer)` pair.
+/// the hierarchy. Returns the next `(to_resolve, answer)` pair. The body
+/// of the one `vcr` loop in [`crate::persist`], which both the plain and
+/// the checkpointed runs go through.
 pub(crate) fn round(
     f: &Facts,
     to_resolve: &Relation,
